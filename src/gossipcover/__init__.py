@@ -8,7 +8,6 @@ pairwise-optimal partition.
 
 from .graph import (
     DisconnectedEnvironmentError,
-    DistanceMap,
     EmptyEnvironmentError,
     GraphFormatError,
     UNREACHABLE,
@@ -78,7 +77,6 @@ from .campaign import (
     chernoff_samples,
     histogram_bins,
     lowest_bin_fraction,
-    random_initial_partition,
     random_start,
     run_campaign,
     write_campaign_csv,
@@ -88,6 +86,6 @@ from .campaign import (
     write_run_summary,
     write_trace_csv,
 )
-from .cli import cli_main, main
+from .cli import main
 
 __version__ = "0.1.0"

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 from typing import Optional, TextIO
 
 from .graph import WeightedGraph, load_environment
-from .lloyd import decentralized_lloyd_fixed_point, is_gossip_lloyd_fixed_point
+from .lloyd import decentralized_lloyd_fixed_point
 from .partition import (
     Partition,
     PartitionError,
@@ -25,8 +25,8 @@ from .partition import (
     h_exp,
     is_centroidal_voronoi,
     is_pairwise_optimal,
+    load_phi,
     parse_partition,
-    parse_phi,
     voronoi_partition,
 )
 from .sim import GOSSIP_COVERAGE, GOSSIP_LLOYD, SimConfig, SimTrace, run
@@ -59,10 +59,6 @@ def random_start(graph: WeightedGraph, n_robots: int, seed: int) -> tuple[list[i
     rng = random.Random(seed)
     positions = rng.sample(range(graph.n), n_robots)
     return positions, voronoi_partition(graph, positions)
-
-
-def random_initial_partition(graph: WeightedGraph, n_robots: int, seed: int) -> Partition:
-    return random_start(graph, n_robots, seed)[1]
 
 
 @dataclass(frozen=True)
@@ -100,6 +96,9 @@ class CampaignSpec:
     def validate(self) -> None:
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
+        for name in ("histogram_bin_width", "histogram_origin"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.histogram_bin_width <= 0:
             raise ValueError("histogram_bin_width must be positive")
         self.resolved_samples()
@@ -168,15 +167,8 @@ def lowest_bin_fraction(
     return sum(1 for c in costs if math.floor((c - origin) / width) == best_bin) / len(costs)
 
 
-def _load_phi(graph: WeightedGraph, phi_file: Optional[str]) -> PhiWeights:
-    if phi_file is None:
-        return PhiWeights.uniform(graph.n)
-    with open(phi_file) as fp:
-        return parse_phi(fp.read(), graph.n)
-
-
 def _load_start(
-    graph: WeightedGraph, phi: PhiWeights, spec: CampaignSpec
+    graph: WeightedGraph, spec: CampaignSpec
 ) -> tuple[Optional[list[int]], Partition]:
     if spec.partition_file is not None:
         with open(spec.partition_file) as fp:
@@ -210,34 +202,54 @@ def _check_final(graph: WeightedGraph, phi: PhiWeights, spec: CampaignSpec, trac
             )
 
 
-def _lloyd_records(
+def run_decentralized_lloyd(
     graph: WeightedGraph,
-    phi: PhiWeights,
-    spec: CampaignSpec,
-    positions: Optional[list[int]],
     partition: Partition,
-    samples: int,
-) -> list[RunRecord]:
-    # the decentralized rounds are deterministic given the start, so every
-    # sample repeats the same trajectory (kept for report shape parity)
+    phi: PhiWeights,
+    positions: Optional[list[int]],
+    seed: int,
+) -> tuple[SimTrace, list[float]]:
+    """Iterate decentralized Lloyd rounds from the start to their fixed point.
+
+    Robots start at positions (default: their region centroids). The
+    trace counts each round as one exchange, one meeting and one second
+    of duration; the list holds h_exp after each round.
+    """
     if positions is None:
-        positions = [centroid(graph, partition.region(k), phi) for k in range(spec.n_robots)]
+        positions = [
+            centroid(graph, partition.region(k), phi) for k in range(partition.n_robots)
+        ]
     initial_cost = h_exp(graph, partition, phi)
-    fixed_pos, fixed_part, costs = decentralized_lloyd_fixed_point(graph, positions, phi)
-    if not is_centroidal_voronoi(graph, fixed_part, phi):
+    _, final_part, costs = decentralized_lloyd_fixed_point(graph, positions, phi)
+    if not is_centroidal_voronoi(graph, final_part, phi):
         raise CampaignError("Lloyd fixed point is not centroidal Voronoi")
-    record = RunRecord(
-        index=0,
-        seed=spec.base_seed,
-        initial_cost=initial_cost,
-        final_cost=costs[-1],
-        exchanges=len(costs),
-        meetings=len(costs),
+    trace = SimTrace(
+        events=[],
+        final_partition=final_part,
+        exchange_count=len(costs),
+        meeting_count=len(costs),
         meetings_to_equilibrium=len(costs),
         converged=True,
+        seed=seed,
+        initial_cost=initial_cost,
+        final_cost=costs[-1],
         duration=float(len(costs)),
     )
-    return [replace(record, index=k, seed=spec.base_seed + k) for k in range(samples)]
+    return trace, costs
+
+
+def _run_record(index: int, trace: SimTrace) -> RunRecord:
+    return RunRecord(
+        index=index,
+        seed=trace.seed,
+        initial_cost=trace.initial_cost,
+        final_cost=trace.final_cost,
+        exchanges=trace.exchange_count,
+        meetings=trace.meeting_count,
+        meetings_to_equilibrium=trace.meetings_to_equilibrium,
+        converged=trace.converged,
+        duration=trace.duration,
+    )
 
 
 def run_campaign(spec: CampaignSpec) -> CampaignReport:
@@ -245,11 +257,16 @@ def run_campaign(spec: CampaignSpec) -> CampaignReport:
     spec.validate()
     samples = spec.resolved_samples()
     graph = load_environment(spec.environment)
-    phi = _load_phi(graph, spec.phi_file)
-    positions, partition = _load_start(graph, phi, spec)
+    phi = load_phi(graph, spec.phi_file)
+    positions, partition = _load_start(graph, spec)
 
     if spec.algorithm == DECENTRALIZED_LLOYD:
-        records = _lloyd_records(graph, phi, spec, positions, partition, samples)
+        # the decentralized rounds are deterministic given the start, so every
+        # sample repeats the same trajectory (kept for report shape parity)
+        trace, _ = run_decentralized_lloyd(graph, partition, phi, positions, spec.base_seed)
+        records = [
+            replace(_run_record(k, trace), seed=spec.base_seed + k) for k in range(samples)
+        ]
     else:
         records = []
         for k in range(samples):
@@ -264,19 +281,7 @@ def run_campaign(spec: CampaignSpec) -> CampaignReport:
                 record_motion=False,
             )
             _check_final(graph, phi, spec, trace)
-            records.append(
-                RunRecord(
-                    index=k,
-                    seed=config.seed,
-                    initial_cost=trace.initial_cost,
-                    final_cost=trace.final_cost,
-                    exchanges=trace.exchange_count,
-                    meetings=trace.meeting_count,
-                    meetings_to_equilibrium=trace.meetings_to_equilibrium,
-                    converged=trace.converged,
-                    duration=trace.duration,
-                )
-            )
+            records.append(_run_record(k, trace))
 
     costs = [r.final_cost for r in records]
     return CampaignReport(

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 from importlib import resources
 from typing import Callable, Optional, Sequence, TextIO
 
@@ -21,6 +20,7 @@ from .campaign import (
     CampaignSpec,
     random_start,
     run_campaign,
+    run_decentralized_lloyd,
     write_campaign_csv,
     write_campaign_summary,
     write_final_partition,
@@ -36,25 +36,20 @@ from .graph import (
     format_edge_list,
     load_environment,
 )
-from .lloyd import decentralized_lloyd_fixed_point
 from .partition import (
     Partition,
     PartitionError,
-    PhiWeights,
-    centroid,
     h_exp,
     is_centroidal_voronoi,
     is_pairwise_optimal,
+    load_phi,
     parse_partition,
-    parse_phi,
 )
 from .sim import (
     GOSSIP_COVERAGE,
-    GOSSIP_LLOYD,
     OPEN_BOUNDARY,
     UNIFORM_REGION,
     SimConfig,
-    SimTrace,
     run,
 )
 
@@ -123,13 +118,6 @@ def _sim_config(opts: _Options) -> SimConfig:
     )
 
 
-def _load_phi(graph: WeightedGraph, path: Optional[str]) -> PhiWeights:
-    if path is None:
-        return PhiWeights.uniform(graph.n)
-    with open(path) as fp:
-        return parse_phi(fp.read(), graph.n)
-
-
 def _load_partition_file(graph: WeightedGraph, path: str) -> Partition:
     with open(path) as fp:
         partition = parse_partition(fp.read(), graph.n)
@@ -154,34 +142,6 @@ def _out_file(out_dir: str, name: str) -> TextIO:
     return open(os.path.join(out_dir, name), "w", newline="")
 
 
-def _run_lloyd_rounds(
-    graph: WeightedGraph,
-    partition: Partition,
-    phi: PhiWeights,
-    positions: Optional[list[int]],
-    seed: int,
-) -> tuple[SimTrace, list[float]]:
-    if positions is None:
-        positions = [
-            centroid(graph, partition.region(k), phi) for k in range(partition.n_robots)
-        ]
-    initial_cost = h_exp(graph, partition, phi)
-    _, final_part, costs = decentralized_lloyd_fixed_point(graph, positions, phi)
-    trace = SimTrace(
-        events=[],
-        final_partition=final_part,
-        exchange_count=len(costs),
-        meeting_count=len(costs),
-        meetings_to_equilibrium=len(costs),
-        converged=True,
-        seed=seed,
-        initial_cost=initial_cost,
-        final_cost=costs[-1],
-        duration=float(len(costs)),
-    )
-    return trace, costs
-
-
 def _write_round_trace(costs: list[float], fp: TextIO) -> None:
     fp.write("time,kind,robot_i,robot_j,h_exp\n")
     for k, cost in enumerate(costs):
@@ -191,13 +151,13 @@ def _write_round_trace(costs: list[float], fp: TextIO) -> None:
 def _cmd_run(args: argparse.Namespace) -> int:
     opts = _Options(args)
     graph = load_environment(resolve_environment(args.environment))
-    phi = _load_phi(graph, opts.get("phi", str, None))
+    phi = load_phi(graph, opts.get("phi", str, None))
     positions, partition = _start_condition(graph, opts)
     algorithm = opts.get("algorithm", str, GOSSIP_COVERAGE)
     out_dir = opts.get("out_dir", str, ".")
 
     if algorithm == DECENTRALIZED_LLOYD:
-        trace, costs = _run_lloyd_rounds(
+        trace, costs = run_decentralized_lloyd(
             graph, partition, phi, positions, opts.get("seed", int, 0)
         )
         with _out_file(out_dir, "trace.csv") as fp:
@@ -262,7 +222,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
 
 def _cmd_check(args: argparse.Namespace) -> int:
     graph = load_environment(resolve_environment(args.environment))
-    phi = _load_phi(graph, args.phi)
+    phi = load_phi(graph, args.phi)
     try:
         with open(args.partition) as fp:
             partition = parse_partition(fp.read(), graph.n)
@@ -282,7 +242,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 def _cmd_cost(args: argparse.Namespace) -> int:
     graph = load_environment(resolve_environment(args.environment))
-    phi = _load_phi(graph, args.phi)
+    phi = load_phi(graph, args.phi)
     partition = _load_partition_file(graph, args.partition)
     print(repr(h_exp(graph, partition, phi)))
     return 0
@@ -408,10 +368,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (OSError, GraphFormatError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-def cli_main(argv: Optional[Sequence[str]] = None) -> int:
-    return main(argv)
 
 
 if __name__ == "__main__":

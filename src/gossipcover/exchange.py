@@ -25,8 +25,8 @@ from typing import Optional
 
 import numpy as np
 
-from .graph import WeightedGraph, hops_from, is_connected, one_to_all, region_distance_matrix
-from .partition import Partition, PartitionError, PhiWeights
+from .graph import WeightedGraph, is_connected, one_to_all, region_distance_matrix
+from .partition import Partition, PartitionError, PhiWeights, centroid_in_units
 
 
 @dataclass(frozen=True)
@@ -94,16 +94,6 @@ def _clean_region(graph: WeightedGraph, region, label: str) -> np.ndarray:
     return ids
 
 
-def _centroid_cost_units(
-    graph: WeightedGraph, ids: np.ndarray, phi: PhiWeights
-) -> tuple[int, float]:
-    """Centroid and its cost in the scan's internal units (hops when uniform)."""
-    dmat, _ = region_distance_matrix(graph, ids)
-    costs = dmat @ phi.values[ids]
-    best = int(np.argmin(costs))
-    return int(ids[best]), float(costs[best])
-
-
 def optimal_two_partition(
     graph: WeightedGraph,
     region_a,
@@ -130,8 +120,8 @@ def optimal_two_partition(
     local = {int(v): k for k, v in enumerate(union)}
 
     if budget.resume_centers is None:
-        ca, cost_a = _centroid_cost_units(graph, a_ids, phi)
-        cb, cost_b = _centroid_cost_units(graph, b_ids, phi)
+        ca, cost_a, _ = centroid_in_units(graph, a_ids, phi)
+        cb, cost_b, _ = centroid_in_units(graph, b_ids, phi)
         incumbent_cost = cost_a + cost_b
         dirty = False
     else:
@@ -196,12 +186,8 @@ def assign_sides(
     The matching minimizes the robots' combined travel distance to the
     side centers; on a tie robot i keeps the a-side.
     """
-    if graph.uniform_weights:
-        from_i = hops_from(graph, None, pos_i).astype(np.float64)
-        from_j = hops_from(graph, None, pos_j).astype(np.float64)
-    else:
-        from_i = one_to_all(graph, None, pos_i).dist
-        from_j = one_to_all(graph, None, pos_j).dist
+    from_i = one_to_all(graph, None, pos_i)
+    from_j = one_to_all(graph, None, pos_j)
     keep = from_i[center_a] + from_j[center_b]
     swap = from_i[center_b] + from_j[center_a]
     return bool(keep <= swap)

@@ -12,7 +12,6 @@ from __future__ import annotations
 import heapq
 import math
 from collections import deque
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -153,17 +152,6 @@ class WeightedGraph:
         return ball
 
 
-@dataclass(frozen=True)
-class DistanceMap:
-    """Distances from one source; UNREACHABLE marks vertices outside reach."""
-
-    source: int
-    dist: np.ndarray
-
-    def __getitem__(self, v: int) -> float:
-        return float(self.dist[v])
-
-
 def _component_count(graph: WeightedGraph) -> int:
     seen = bytearray(graph.n)
     comps = 0
@@ -182,63 +170,66 @@ def _component_count(graph: WeightedGraph) -> int:
     return comps
 
 
-def _region_mask(graph: WeightedGraph, region: Optional[Iterable[int]]) -> Optional[bytearray]:
+def _outside_mask(graph: WeightedGraph, region: Optional[Iterable[int]]) -> Optional[bytearray]:
+    """1 for each vertex outside the region; None when region is None."""
     if region is None:
         return None
-    mask = bytearray(graph.n)
-    count = 0
-    for v in region:
-        if not 0 <= v < graph.n:
-            raise ValueError(f"region vertex {v} out of range")
-        if not mask[v]:
-            mask[v] = 1
-            count += 1
-    if count == 0:
+    ids = np.asarray(region if isinstance(region, np.ndarray) else list(region), dtype=np.int64)
+    if ids.size == 0:
         raise ValueError("region is empty")
-    return mask
+    bad = ids[(ids < 0) | (ids >= graph.n)]
+    if bad.size:
+        raise ValueError(f"region vertex {bad[0]} out of range")
+    outside = np.ones(graph.n, dtype=np.uint8)
+    outside[ids] = 0
+    return bytearray(outside.tobytes())
 
 
 def one_to_all(
     graph: WeightedGraph, region: Optional[Iterable[int]], source: int
-) -> DistanceMap:
+) -> np.ndarray:
     """Distances from source to every vertex of the induced subgraph.
 
-    region=None means the whole graph. Uniform-weight graphs take the
-    breadth-first route, general weights take Dijkstra; both accumulate
-    edge weights hop by hop so their outputs match bit for bit on
-    uniform inputs. Vertices outside the region or unreached stay at
-    UNREACHABLE.
+    region=None means the whole graph. The units match
+    region_distance_matrix: uniform-weight graphs give hop counts as
+    float64 (meters = hops * unit_weight), which keeps sums and ties
+    exact; general weights give Dijkstra distances accumulated edge by
+    edge. Vertices outside the region or unreached stay at UNREACHABLE.
     """
-    mask = _region_mask(graph, region)
+    outside = _outside_mask(graph, region)
     if not 0 <= source < graph.n:
         raise ValueError(f"source {source} out of range")
-    if mask is not None and not mask[source]:
+    if outside is not None and outside[source]:
         raise ValueError(f"source {source} not in region")
     dist = np.full(graph.n, UNREACHABLE)
     if graph.uniform_weights:
-        _bfs_into(graph, mask, source, dist)
+        _bfs_into(graph, outside, source, dist)
     else:
-        _dijkstra_into(graph, mask, source, dist)
-    return DistanceMap(source=source, dist=dist)
+        _dijkstra_into(graph, outside, source, dist)
+    return dist
 
 
 def _bfs_into(
-    graph: WeightedGraph, mask: Optional[bytearray], source: int, dist: np.ndarray
+    graph: WeightedGraph, outside: Optional[bytearray], source: int, dist: np.ndarray
 ) -> None:
     adj = graph._adj
+    # blocked: outside the region or already reached; takes over `outside`
+    blocked = bytearray(graph.n) if outside is None else outside
+    blocked[source] = 1
     dist[source] = 0.0
     queue = deque([source])
     while queue:
         u = queue.popleft()
-        du = dist[u]
-        for v, w in adj[u]:
-            if (mask is None or mask[v]) and dist[v] == UNREACHABLE:
-                dist[v] = du + w
+        du = dist[u] + 1.0
+        for v, _ in adj[u]:
+            if not blocked[v]:
+                blocked[v] = 1
+                dist[v] = du
                 queue.append(v)
 
 
 def _dijkstra_into(
-    graph: WeightedGraph, mask: Optional[bytearray], source: int, dist: np.ndarray
+    graph: WeightedGraph, outside: Optional[bytearray], source: int, dist: np.ndarray
 ) -> None:
     adj = graph._adj
     dist[source] = 0.0
@@ -248,7 +239,7 @@ def _dijkstra_into(
         if d > dist[u]:
             continue
         for v, w in adj[u]:
-            if mask is None or mask[v]:
+            if outside is None or not outside[v]:
                 nd = d + w
                 if nd < dist[v]:
                     dist[v] = nd
@@ -264,19 +255,17 @@ def shortest_path(
     predecessors go to the lowest vertex id. Raises ValueError when the
     endpoints are outside the region or no path exists.
     """
-    mask = _region_mask(graph, region)
-    if mask is not None and not (0 <= to < graph.n and mask[to]):
-        raise ValueError(f"target {to} not in region")
-    dmap = one_to_all(graph, region, frm)
-    dist = dmap.dist
-    if dist[to] == UNREACHABLE:
+    dist = one_to_all(graph, region, frm)
+    if not (0 <= to < graph.n and dist[to] != UNREACHABLE):
         raise ValueError(f"no path from {frm} to {to} within region")
+    hop = graph.uniform_weights
     path = [to]
     v = to
     while v != frm:
         best = -1
+        # vertices outside the region are UNREACHABLE, so they never match
         for u, w in graph.neighbors(v):
-            if (mask is None or mask[u]) and dist[u] + w == dist[v]:
+            if dist[u] + (1.0 if hop else w) == dist[v]:
                 if best < 0 or u < best:
                     best = u
         if best < 0:
@@ -311,33 +300,6 @@ def is_connected(graph: WeightedGraph, region: Iterable[int]) -> bool:
                 count += 1
                 queue.append(v)
     return count == len(verts)
-
-
-def hops_from(
-    graph: WeightedGraph, region_ids: Optional[np.ndarray], source: int
-) -> np.ndarray:
-    """Hop counts from source inside the induced subgraph (-1 = unreached).
-
-    Length-n integer array; on uniform-weight graphs distance in meters
-    is hops * unit_weight. region_ids=None means the whole graph.
-    """
-    if region_ids is None:
-        mask = None
-    else:
-        mask = np.zeros(graph.n, dtype=bool)
-        mask[region_ids] = True
-    hops = np.full(graph.n, -1, dtype=np.int64)
-    hops[source] = 0
-    queue = deque([source])
-    adj = graph._adj
-    while queue:
-        u = queue.popleft()
-        hu = hops[u]
-        for v, _ in adj[u]:
-            if (mask is None or mask[v]) and hops[v] < 0:
-                hops[v] = hu + 1
-                queue.append(v)
-    return hops
 
 
 def region_distance_matrix(

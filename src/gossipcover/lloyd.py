@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graph import WeightedGraph, hops_from, is_connected, one_to_all
+from .graph import WeightedGraph, is_connected, one_to_all
 from .partition import (
     Partition,
     PartitionError,
@@ -23,15 +23,6 @@ from .partition import (
     h_exp,
     voronoi_partition,
 )
-
-
-def _distance_row(graph: WeightedGraph, region_ids, source: int) -> np.ndarray:
-    # hop counts stay exact on uniform-weight graphs, keeping ties stable
-    if graph.uniform_weights:
-        row = hops_from(graph, region_ids, source).astype(np.float64)
-        row[row < 0] = np.inf
-        return row
-    return one_to_all(graph, region_ids, source).dist
 
 
 def gossip_lloyd_exchange(
@@ -51,8 +42,8 @@ def gossip_lloyd_exchange(
     ci = centroid(graph, region_i, phi)
     cj = centroid(graph, region_j, phi)
     union = np.union1d(region_i, region_j)
-    di = _distance_row(graph, union, ci)[union]
-    dj = _distance_row(graph, union, cj)[union]
+    di = one_to_all(graph, union, ci)[union]
+    dj = one_to_all(graph, union, cj)[union]
     mask_i = di <= dj if i < j else di < dj
     side_i = union[mask_i]
     side_j = union[~mask_i]

@@ -20,7 +20,6 @@ import numpy as np
 from .graph import (
     UNREACHABLE,
     WeightedGraph,
-    hops_from,
     is_connected,
     one_to_all,
     region_distance_matrix,
@@ -72,6 +71,14 @@ def parse_phi(text: str, n: int) -> PhiWeights:
             raise ValueError(f"phi line {idx + 1}: expected 'vertex value', got {line!r}")
         mapping[int(parts[0])] = float(parts[1])
     return PhiWeights.from_mapping(n, mapping)
+
+
+def load_phi(graph: WeightedGraph, path: Optional[str]) -> PhiWeights:
+    """Read a phi file for the graph; path=None gives uniform weights."""
+    if path is None:
+        return PhiWeights.uniform(graph.n)
+    with open(path) as fp:
+        return parse_phi(fp.read(), graph.n)
 
 
 def format_phi(phi: PhiWeights) -> str:
@@ -186,15 +193,10 @@ def h_one(graph: WeightedGraph, region: Iterable[int], h: int, phi: PhiWeights) 
         raise PartitionError("region is empty")
     if h not in set(ids.tolist()):
         raise PartitionError(f"center {h} not in region")
-    if graph.uniform_weights:
-        hops = hops_from(graph, ids, h)[ids]
-        if np.any(hops < 0):
-            raise PartitionError("region is disconnected")
-        return float(hops.astype(np.float64) @ phi.values[ids]) * graph.unit_weight
-    dist = one_to_all(graph, ids.tolist(), h).dist[ids]
+    dist = one_to_all(graph, ids, h)[ids]
     if np.any(dist == UNREACHABLE):
         raise PartitionError("region is disconnected")
-    return float(dist @ phi.values[ids])
+    return float(dist @ phi.values[ids]) * (graph.unit_weight or 1.0)
 
 
 def centroid_and_cost(
@@ -208,15 +210,23 @@ def centroid_and_cost(
     ids = np.asarray(sorted(set(int(v) for v in region)), dtype=np.int64)
     if ids.size == 0:
         raise PartitionError("region is empty")
+    best, cost, unit = centroid_in_units(graph, ids, phi)
+    return best, cost * (unit or 1.0)
+
+
+def centroid_in_units(
+    graph: WeightedGraph, ids: np.ndarray, phi: PhiWeights
+) -> tuple[int, float, Optional[float]]:
+    """Centroid of the region with sorted vertex ids, its cost in
+    region_distance_matrix units (hops on uniform graphs), and the unit
+    weight that turns that cost into meters (None for general weights).
+    """
     dmat, unit = region_distance_matrix(graph, ids)
     if np.any(np.isinf(dmat)):
         raise PartitionError("region is disconnected")
     costs = dmat @ phi.values[ids]
     best = int(np.argmin(costs))
-    cost = float(costs[best])
-    if unit is not None:
-        cost *= unit
-    return int(ids[best]), cost
+    return int(ids[best]), float(costs[best]), unit
 
 
 def centroid(graph: WeightedGraph, region: Iterable[int], phi: PhiWeights) -> int:
@@ -245,20 +255,6 @@ def h_exp(graph: WeightedGraph, partition: Partition, phi: PhiWeights) -> float:
     return total / phi.total
 
 
-def _generator_distance_rows(
-    graph: WeightedGraph, generators: Sequence[int]
-) -> np.ndarray:
-    """Stacked full-graph distance rows, hop counts when weights are uniform."""
-    rows = np.empty((len(generators), graph.n))
-    for k, g in enumerate(generators):
-        if graph.uniform_weights:
-            hops = hops_from(graph, None, int(g))
-            rows[k] = np.where(hops < 0, np.inf, hops.astype(np.float64))
-        else:
-            rows[k] = one_to_all(graph, None, int(g)).dist
-    return rows
-
-
 def voronoi_partition(
     graph: WeightedGraph, generators: Sequence[int]
 ) -> Partition:
@@ -271,7 +267,7 @@ def voronoi_partition(
     for g in gens:
         if not 0 <= g < graph.n:
             raise PartitionError(f"generator {g} out of range")
-    rows = _generator_distance_rows(graph, gens)
+    rows = np.array([one_to_all(graph, None, g) for g in gens])
     owner = np.argmin(rows, axis=0).astype(np.int32)
     return Partition(owner, len(gens))
 
@@ -296,7 +292,7 @@ def is_centroidal_voronoi(
         centroid_and_cost(graph, partition.region(i), phi)[0]
         for i in range(partition.n_robots)
     ]
-    rows = _generator_distance_rows(graph, centroids)
+    rows = np.array([one_to_all(graph, None, c) for c in centroids])
     own = rows[partition.owner, np.arange(graph.n)]
     return bool(np.all(own <= rows.min(axis=0)))
 

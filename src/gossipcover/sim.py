@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .exchange import ExchangeBudget, assign_sides, optimal_two_partition
-from .graph import WeightedGraph, hops_from, one_to_all, shortest_path
+from .graph import WeightedGraph, one_to_all, shortest_path
 from .lloyd import gossip_lloyd_exchange, is_gossip_lloyd_fixed_point
 from .partition import (
     Partition,
@@ -71,6 +71,11 @@ class SimConfig:
     convergence_window: float = 30.0
 
     def validate(self, graph: WeightedGraph) -> None:
+        for name in (
+            "speed", "r_comm", "lambda_comm", "tau", "dt", "max_time", "convergence_window"
+        ):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         for name in ("speed", "lambda_comm", "tau", "dt", "max_time"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
@@ -94,7 +99,6 @@ class RobotState:
     edge_progress: float = 0.0
     mode: str = WAITING
     wait_remaining: float = 0.0
-    busy: bool = False
 
 
 @dataclass(frozen=True)
@@ -259,31 +263,16 @@ def _advance(world: World, robot: RobotState, dt: float) -> None:
         robot.wait_remaining = world.config.tau
 
 
-def eligible_pairs(
-    world: World, graph: Optional[WeightedGraph] = None, r_comm: Optional[float] = None
-) -> list[tuple[int, int]]:
-    """Non-busy robot pairs within strict communication range of each other."""
-    graph = graph if graph is not None else world.graph
-    r = r_comm if r_comm is not None else world.config.r_comm
-    robots = world.robots
+def eligible_pairs(world: World) -> list[tuple[int, int]]:
+    """Robot pairs within strict communication range of each other."""
+    graph, r, robots = world.graph, world.config.r_comm, world.robots
     out = []
     for i in range(len(robots)):
-        if robots[i].busy:
-            continue
         ball = graph.neighborhood(robots[i].current_vertex, r)
         for j in range(i + 1, len(robots)):
-            if not robots[j].busy and robots[j].current_vertex in ball:
+            if robots[j].current_vertex in ball:
                 out.append((i, j))
     return out
-
-
-def _nearest_in_region(graph: WeightedGraph, source: int, region_ids: np.ndarray) -> int:
-    if graph.uniform_weights:
-        dist = hops_from(graph, None, source).astype(np.float64)
-    else:
-        dist = one_to_all(graph, None, source).dist
-    k = int(np.argmin(dist[region_ids]))
-    return int(region_ids[k])
 
 
 def _repair_robot(world: World, robot: RobotState) -> None:
@@ -291,7 +280,8 @@ def _repair_robot(world: World, robot: RobotState) -> None:
     region = world.partition.region(robot.id)
     members = set(int(v) for v in region)
     if robot.current_vertex not in members:
-        target = _nearest_in_region(world.graph, robot.current_vertex, region)
+        dist = one_to_all(world.graph, None, robot.current_vertex)
+        target = int(region[np.argmin(dist[region])])
         robot.path = shortest_path(world.graph, None, robot.current_vertex, target)[1:]
         robot.edge_progress = 0.0
         robot.mode = RELOCATING
@@ -375,23 +365,18 @@ def _apply_gossip_coverage(world: World, i: int, j: int) -> bool:
 
 def _apply_meeting(world: World, i: int, j: int) -> None:
     world.meeting_count += 1
-    ri, rj = world.robots[i], world.robots[j]
-    ri.busy = rj.busy = True
-    try:
-        if world.algorithm == GOSSIP_LLOYD:
-            changed = _apply_gossip_lloyd(world, i, j)
-        else:
-            changed = _apply_gossip_coverage(world, i, j)
-    finally:
-        ri.busy = rj.busy = False
+    if world.algorithm == GOSSIP_LLOYD:
+        changed = _apply_gossip_lloyd(world, i, j)
+    else:
+        changed = _apply_gossip_coverage(world, i, j)
     if changed:
         world.exchange_count += 1
         world.meetings_at_last_exchange = world.meeting_count
         world.last_change_time = world.time
         world._checked_since_change = False
         _record(world, EXCHANGE, i, j)
-        _repair_robot(world, ri)
-        _repair_robot(world, rj)
+        _repair_robot(world, world.robots[i])
+        _repair_robot(world, world.robots[j])
     else:
         _record(world, MEETING_NOCHANGE, i, j)
 
@@ -416,8 +401,6 @@ def step(world: World, dt: Optional[float] = None) -> World:
         raise ValueError("dt must be positive")
     world.time += dt
     for robot in world.robots:
-        if robot.busy:
-            continue
         if robot.mode == WAITING:
             robot.wait_remaining -= dt
             if robot.wait_remaining <= 0.0:

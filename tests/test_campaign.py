@@ -18,7 +18,6 @@ from gossipcover import (
     lowest_bin_fraction,
     parse_grid,
     parse_partition,
-    random_initial_partition,
     random_start,
     run,
     run_campaign,
@@ -93,8 +92,8 @@ def test_spec_resolves_samples_from_chernoff(env_file):
 
 
 def test_random_start_reproducible_and_valid():
-    first = random_initial_partition(GRID, 2, seed=4)
-    second = random_initial_partition(GRID, 2, seed=4)
+    first = random_start(GRID, 2, seed=4)[1]
+    second = random_start(GRID, 2, seed=4)[1]
     assert np.array_equal(first.owner, second.owner)
     for seed in range(30):
         positions, part = random_start(GRID, 3, seed)

@@ -77,6 +77,14 @@ def test_usage_errors_exit_1(env_file, capsys):
     assert main(["run", env_file, "--n", "2", "--algorithm", "annealing"]) == 1
     assert main(["run", env_file, "--n", "2", "--dt", "-1"]) == 1
     assert main(["run", env_file]) == 1  # neither --n nor --partition
+    for flag in (
+        "--dt", "--speed", "--rcomm", "--lambda", "--tau", "--max-time", "--convergence-window"
+    ):
+        assert main(["run", env_file, "--n", "2", flag, "nan"]) == 1
+    assert main(["run", env_file, "--n", "2", "--max-time", "inf"]) == 1
+    campaign = ["campaign", env_file, "--n", "2", "--samples", "1"]
+    assert main(campaign + ["--bin-origin", "inf"]) == 1
+    assert main(campaign + ["--bin-width", "nan"]) == 1
     capsys.readouterr()
 
 

@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gossipcover import (
     DisconnectedEnvironmentError,
@@ -21,11 +23,10 @@ from gossipcover import (
 from gossipcover.graph import (
     _bfs_into,
     _dijkstra_into,
-    hops_from,
     region_distance_matrix,
 )
 
-from util_oracle import floyd_warshall, random_connected_graph
+from util_oracle import floyd_warshall, induced_distances, random_connected_graph
 
 
 # ---- grid parsing ----
@@ -119,8 +120,7 @@ def test_load_environment_dispatch(tmp_path):
 
 def test_one_to_all_2x5(grid2x5):
     d = one_to_all(grid2x5, None, 0)
-    assert d.source == 0
-    assert [d[v] for v in range(10)] == [0, 1, 2, 3, 4, 1, 2, 3, 4, 5]
+    assert d.tolist() == [0, 1, 2, 3, 4, 1, 2, 3, 4, 5]
 
 
 def test_one_to_all_region_restriction(grid2x5):
@@ -160,12 +160,13 @@ def test_bfs_dijkstra_agree_exactly():
         edges = [(u, v, w) for u, v, _ in edges]
         g = WeightedGraph(n, edges)
         assert g.uniform_weights
+        hop_graph = WeightedGraph(n, [(u, v, 1.0) for u, v, _ in edges])
         src = rng.randrange(n)
         d_bfs = np.full(n, UNREACHABLE)
         d_dij = np.full(n, UNREACHABLE)
         _bfs_into(g, None, src, d_bfs)
-        _dijkstra_into(g, None, src, d_dij)
-        assert np.array_equal(d_bfs, d_dij)
+        _dijkstra_into(hop_graph, None, src, d_dij)
+        assert np.array_equal(d_bfs, d_dij)  # hop counts, whatever the weight
 
 
 def test_distances_match_oracle():
@@ -176,7 +177,7 @@ def test_distances_match_oracle():
         g = WeightedGraph(n, edges)
         ref = floyd_warshall(n, edges)
         src = rng.randrange(n)
-        d = one_to_all(g, None, src)
+        d = one_to_all(g, None, src) * (g.unit_weight or 1.0)
         for v in range(n):
             assert d[v] == ref[src][v]
 
@@ -188,11 +189,56 @@ def test_distance_symmetry(grid2x5):
         assert one_to_all(grid2x5, None, u)[v] == one_to_all(grid2x5, None, v)[u]
 
 
-def test_hops_from(grid2x5):
-    hops = hops_from(grid2x5, None, 0)
+def test_hops_from():
+    g = parse_grid("resolution=0.6\n.....\n.....\n")
+    hops = one_to_all(g, None, 0)
     assert hops.tolist() == [0, 1, 2, 3, 4, 1, 2, 3, 4, 5]
-    part = hops_from(grid2x5, np.array([0, 1, 5]), 0)
-    assert part[2] == -1 and part[1] == 1
+    part = one_to_all(g, np.array([0, 1, 5]), 0)
+    assert part[2] == UNREACHABLE and part[1] == 1
+
+
+# 0.25-lattice weights (weighted or uniform) keep every path sum exact;
+# 0.6 is a uniform weight off the lattice, where only hop counts are exact
+EDGE_WEIGHTS = st.sampled_from(["lattice", "uniform-lattice", 0.6])
+
+
+def _random_region_instance(rng, n, weight):
+    n, edges = random_connected_graph(rng, n, uniform=weight != "lattice")
+    if weight == 0.6:
+        edges = [(u, v, 0.6) for u, v, _ in edges]
+    region = sorted(rng.sample(range(n), rng.randint(1, n)))
+    return WeightedGraph(n, edges), edges, region, rng.choice(region)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rng=st.randoms(use_true_random=False), n=st.integers(2, 10), weight=EDGE_WEIGHTS)
+def test_one_to_all_matches_induced_floyd_warshall(rng, n, weight):
+    g, edges, region, src = _random_region_instance(rng, n, weight)
+    dist = one_to_all(g, region, src)
+    meters = dist * (g.unit_weight or 1.0)
+    ref = induced_distances(n, edges, region)[src]
+    if weight == 0.6:
+        hops = induced_distances(n, [(u, v, 1.0) for u, v, _ in edges], region)[src]
+        assert dist.tolist() == hops
+        np.testing.assert_allclose(meters, ref, rtol=n * np.finfo(np.float64).eps)
+    else:
+        assert meters.tolist() == ref
+
+
+@settings(max_examples=150, deadline=None)
+@given(rng=st.randoms(use_true_random=False), n=st.integers(2, 10), weight=EDGE_WEIGHTS)
+def test_shortest_path_stays_in_region_with_one_to_all_length(rng, n, weight):
+    g, _, region, src = _random_region_instance(rng, n, weight)
+    dist = one_to_all(g, region, src)
+    to = rng.choice([v for v in region if dist[v] != UNREACHABLE])
+    path = shortest_path(g, region, src, to)
+    assert path[0] == src and path[-1] == to
+    assert set(path) <= set(region)
+    length = 0.0
+    for a, b in zip(path, path[1:]):
+        w = g.edge_weight(a, b)  # raises unless a and b are adjacent
+        length += 1.0 if g.uniform_weights else w
+    assert length == dist[to]
 
 
 def test_region_distance_matrix(grid2x5):

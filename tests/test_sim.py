@@ -222,8 +222,6 @@ def test_eligible_pairs_same_vertex_and_strict_range(phi10):
     assert eligible_pairs(world) == [(0, 1)]
     b.current_vertex = 0
     assert eligible_pairs(world) == [(0, 1)]  # co-located counts
-    b.busy = True
-    assert eligible_pairs(world) == []
 
 
 def test_zero_intensity_never_meets(grid2x5, phi10, reference_splits):
