@@ -16,6 +16,11 @@ centroids with region-induced distances. Because every vertex's
 shortest path to its winning center stays inside the winning side,
 both sides of any candidate split are connected and the candidate
 price equals sum_k min(d_U(a,k), d_U(b,k)) * phi(k).
+
+The scan's improved flag compares candidates against the incumbent in
+scan order; the strict centroid-cost test that decides whether a split
+is adopted lives in pairwise_exchange, the one rule both the simulator
+and is_pairwise_optimal apply.
 """
 
 from __future__ import annotations
@@ -26,7 +31,13 @@ from typing import Optional
 import numpy as np
 
 from .graph import WeightedGraph, is_connected, one_to_all, region_distance_matrix
-from .partition import Partition, PartitionError, PhiWeights, centroid_in_units
+from .partition import (
+    Partition,
+    PartitionError,
+    PhiWeights,
+    centroid_and_cost,
+    centroid_in_units,
+)
 
 
 @dataclass(frozen=True)
@@ -201,14 +212,22 @@ def pairwise_exchange(
     phi: PhiWeights,
     budget: Optional[ExchangeBudget] = None,
     positions: Optional[tuple[int, int]] = None,
-) -> tuple[Partition, ExchangeResult]:
-    """Run the exchange between robots i and j on their current regions.
+    costs: Optional[tuple[float, float]] = None,
+) -> tuple[Partition, ExchangeResult, Optional[tuple[float, float]]]:
+    """Apply the pairwise partitioning rule to robots i and j.
 
-    The lower-indexed robot's region seeds the a-side. When the scan
-    improves on the current regions, the new sides are matched to the
-    robots (by travel distance when positions=(pos_i, pos_j) is given,
-    identity otherwise) and a new partition is returned; otherwise the
-    partition comes back unchanged.
+    The lower-indexed robot's region seeds the a-side of the scan. When
+    the scan improves on the current regions, both sides are priced at
+    their centroids, and the split is adopted only if that sum is
+    strictly below costs=(cost_i, cost_j), the current centroid costs
+    of the two regions (priced here when None). The adopted sides are
+    matched to the robots by travel distance when positions=(pos_i,
+    pos_j) is given, identity otherwise.
+
+    Returns the new partition, the scan result, and the centroid costs
+    of robots i and j afterwards. When nothing moves, the input
+    partition object comes back with the costs as given (None only if
+    costs was None and the scan found no improvement).
     """
     if i == j:
         raise PartitionError("exchange needs two distinct robots")
@@ -217,19 +236,27 @@ def pairwise_exchange(
         graph, partition.region(lo), partition.region(hi), phi, budget
     )
     if not result.improved:
-        return partition, result
+        return partition, result, costs
 
+    if costs is None:
+        costs = (
+            centroid_and_cost(graph, partition.region(i), phi)[1],
+            centroid_and_cost(graph, partition.region(j), phi)[1],
+        )
+    _, cost_a = centroid_and_cost(graph, result.side_a, phi)
+    _, cost_b = centroid_and_cost(graph, result.side_b, phi)
+    if not cost_a + cost_b < costs[0] + costs[1]:
+        return partition, result, costs
+
+    sides = [(result.side_a, cost_a), (result.side_b, cost_b)]
     if positions is not None:
         pos = dict(zip((i, j), positions))
-        lo_takes_a = assign_sides(graph, result.center_a, result.center_b, pos[lo], pos[hi])
-    else:
-        lo_takes_a = True
-    if lo_takes_a:
-        new_partition = partition.replace({lo: result.side_a, hi: result.side_b})
-    else:
-        new_partition = partition.replace({lo: result.side_b, hi: result.side_a})
+        if not assign_sides(graph, result.center_a, result.center_b, pos[lo], pos[hi]):
+            sides.reverse()
+    (side_lo, cost_lo), (side_hi, cost_hi) = sides
+    new_partition = partition.replace({lo: side_lo, hi: side_hi})
     for robot in (lo, hi):
         ids = new_partition.region(robot)
         if ids.size == 0 or not is_connected(graph, ids.tolist()):
             raise PartitionError(f"exchange produced an invalid region for robot {robot}")
-    return new_partition, result
+    return new_partition, result, (cost_lo, cost_hi) if i == lo else (cost_hi, cost_lo)

@@ -123,10 +123,6 @@ class Partition:
             return NotImplemented
         return self.n_robots == other.n_robots and np.array_equal(self.owner, other.owner)
 
-    def __ne__(self, other: object) -> bool:
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
-
     def validate(self, graph: WeightedGraph) -> None:
         """Raise PartitionError on any violated partition invariant."""
         if self.owner.size != graph.n:
@@ -300,14 +296,10 @@ def is_centroidal_voronoi(
 def is_pairwise_optimal(
     graph: WeightedGraph, partition: Partition, phi: PhiWeights
 ) -> bool:
-    """True when no adjacent pair of regions admits a cheaper two-center
-    repartition of their union."""
-    from .exchange import optimal_two_partition
+    """True when the pairwise exchange rule changes no adjacent pair."""
+    from .exchange import pairwise_exchange
 
     for i, j in sorted(adjacency_edges(graph, partition)):
-        result = optimal_two_partition(
-            graph, partition.region(i), partition.region(j), phi
-        )
-        if result.improved:
+        if pairwise_exchange(graph, partition, i, j, phi)[0] is not partition:
             return False
     return True

@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .exchange import ExchangeBudget, assign_sides, optimal_two_partition
+from .exchange import ExchangeBudget, pairwise_exchange
 from .graph import WeightedGraph, one_to_all, shortest_path
 from .lloyd import gossip_lloyd_exchange, is_gossip_lloyd_fixed_point
 from .partition import (
@@ -50,10 +50,6 @@ DEPARTURE = "DEPARTURE"
 
 GOSSIP_COVERAGE = "gossip-coverage"
 GOSSIP_LLOYD = "gossip-lloyd"
-
-_DONE = "done"
-_SCAN = "scan"
-
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -191,6 +187,7 @@ class World:
 
         n_robots = self.partition.n_robots
         self._versions = [0] * n_robots
+        # (versions, budget resuming the scan, or None once it completed)
         self._pair_state: dict[tuple[int, int], tuple] = {}
         self._centroid_costs = np.empty(n_robots, dtype=np.float64)
         for k in range(n_robots):
@@ -293,74 +290,54 @@ def _repair_robot(world: World, robot: RobotState) -> None:
     _choose_destination(world, robot)
 
 
+def _adopt(world: World, partition: Partition, i: int, j: int, costs: Sequence[float]) -> None:
+    world.partition = partition
+    for k, cost in zip((i, j), costs):
+        world._versions[k] += 1
+        world._centroid_costs[k] = cost
+    world._h_now = float(world._centroid_costs.sum() / world.phi.total)
+
+
 def _apply_gossip_lloyd(world: World, i: int, j: int) -> bool:
     new_partition = gossip_lloyd_exchange(world.graph, world.partition, i, j, world.phi)
     if new_partition is world.partition:
         return False
-    world.partition = new_partition
-    for k in (i, j):
-        world._versions[k] += 1
-        _, cost = centroid_and_cost(world.graph, new_partition.region(k), world.phi)
-        world._centroid_costs[k] = cost
-    world._h_now = float(world._centroid_costs.sum() / world.phi.total)
+    costs = [
+        centroid_and_cost(world.graph, new_partition.region(k), world.phi)[1] for k in (i, j)
+    ]
+    _adopt(world, new_partition, i, j, costs)
     return True
 
 
 def _apply_gossip_coverage(world: World, i: int, j: int) -> bool:
-    graph, phi = world.graph, world.phi
+    """Resume or start the pair's scan; a completed scan at unchanged
+    versions is not repeated."""
     cap = world.config.exchange_budget
-    key = (i, j)
-    versions = (world._versions[i], world._versions[j])
-    state = world._pair_state.get(key)
-    if state is not None and state[-1] == versions:
-        if state[0] == _DONE:
+    state = world._pair_state.get((i, j))
+    if state is not None and state[0] == (world._versions[i], world._versions[j]):
+        budget = state[1]
+        if budget is None:
             return False
-        budget = ExchangeBudget(max_pairs=cap, resume_cursor=state[1], resume_centers=state[2])
     else:
         budget = ExchangeBudget(max_pairs=cap)
-    result = optimal_two_partition(
-        graph, world.partition.region(i), world.partition.region(j), phi, budget
+    new_partition, result, costs = pairwise_exchange(
+        world.graph,
+        world.partition,
+        i,
+        j,
+        world.phi,
+        budget,
+        positions=(world.robots[i].current_vertex, world.robots[j].current_vertex),
+        costs=(world._centroid_costs[i], world._centroid_costs[j]),
     )
-
-    if not result.improved:
-        if result.completed:
-            world._pair_state[key] = (_DONE, versions)
-        else:
-            world._pair_state[key] = (_SCAN, result.cursor, None, versions)
-        return False
-
-    # adopt the candidate sides only if they strictly cut the pair's cost;
-    # an equal-cost optimum found by a resumed scan keeps the current regions
-    _, cost_a = centroid_and_cost(graph, result.side_a, phi)
-    _, cost_b = centroid_and_cost(graph, result.side_b, phi)
-    centers = (result.center_a, result.center_b)
-    if not (cost_a + cost_b < world._centroid_costs[i] + world._centroid_costs[j]):
-        if result.completed:
-            world._pair_state[key] = (_DONE, versions)
-        else:
-            world._pair_state[key] = (_SCAN, result.cursor, centers, versions)
-        return False
-
-    pos_i = world.robots[i].current_vertex
-    pos_j = world.robots[j].current_vertex
-    if assign_sides(graph, result.center_a, result.center_b, pos_i, pos_j):
-        side_i, side_j = result.side_a, result.side_b
-        cost_i, cost_j = cost_a, cost_b
-    else:
-        side_i, side_j = result.side_b, result.side_a
-        cost_i, cost_j = cost_b, cost_a
-    world.partition = world.partition.replace({i: side_i, j: side_j})
-    world._versions[i] += 1
-    world._versions[j] += 1
-    world._centroid_costs[i] = cost_i
-    world._centroid_costs[j] = cost_j
-    world._h_now = float(world._centroid_costs.sum() / world.phi.total)
-    new_versions = (world._versions[i], world._versions[j])
-    if result.completed:
-        world._pair_state[key] = (_DONE, new_versions)
-    else:
-        world._pair_state[key] = (_SCAN, result.cursor, centers, new_versions)
-    return True
+    changed = new_partition is not world.partition
+    if changed:
+        _adopt(world, new_partition, i, j, costs)
+    world._pair_state[(i, j)] = (
+        (world._versions[i], world._versions[j]),
+        None if result.completed else result.next_budget(cap),
+    )
+    return changed
 
 
 def _apply_meeting(world: World, i: int, j: int) -> None:
@@ -393,12 +370,9 @@ def _resolve_meetings(world: World) -> None:
         _apply_meeting(world, i, j)
 
 
-def step(world: World, dt: Optional[float] = None) -> World:
-    """Advance the world one step: whole-step motion, then meetings."""
-    if dt is None:
-        dt = world.config.dt
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+def step(world: World) -> World:
+    """Advance the world one config.dt step: whole-step motion, then meetings."""
+    dt = world.config.dt
     world.time += dt
     for robot in world.robots:
         if robot.mode == WAITING:

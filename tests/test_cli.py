@@ -212,3 +212,35 @@ def test_bundled_map_via_cli(capsys):
     assert main(["grid2graph", "lab-like", "--info"]) == 0
     out = capsys.readouterr().out
     assert "vertices=556" in out
+
+
+# weights off the 0.25 lattice: the scan and the centroid pricing sum in
+# different orders, so a converged split can rescan 1 ulp "cheaper"
+OFF_LATTICE_EDGES = """9
+0 1 0.53
+1 2 2.257
+2 3 1.576
+3 4 1.78
+1 5 0.452
+1 6 0.482
+4 7 0.979
+3 8 2.562
+5 7 2.979
+5 8 2.845
+7 8 2.737
+"""
+
+
+def test_off_lattice_run_converges_and_checks_pairwise_optimal(tmp_path, capsys):
+    env = tmp_path / "env.edges"
+    env.write_text(OFF_LATTICE_EDGES)
+    out_dir = tmp_path / "out"
+    code = main(
+        ["run", str(env), "--n", "3", "--partition-seed", "9", "--seed", "9",
+         "--rcomm", "12.916", "--max-time", "400", "--convergence-window", "10",
+         "--out-dir", str(out_dir)]
+    )
+    assert code == 0
+    assert "converged=yes" in capsys.readouterr().out
+    assert main(["check", str(env), str(out_dir / "final.partition")]) == 0
+    assert "pairwise-optimal: yes" in capsys.readouterr().out

@@ -2,6 +2,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gossipcover import (
     ExchangeBudget,
@@ -12,6 +14,7 @@ from gossipcover import (
     assign_sides,
     centroid_and_cost,
     h_exp,
+    is_pairwise_optimal,
     optimal_two_partition,
     pairwise_exchange,
 )
@@ -19,10 +22,12 @@ from gossipcover.graph import is_connected
 
 from conftest import SPLIT_ROWS, SPLIT_ZIGZAG, partition_from_regions
 from util_oracle import (
+    off_lattice,
     oracle_centroid,
     oracle_split,
     oracle_two_center,
     random_connected_graph,
+    random_off_lattice_graph,
     random_phi,
     random_two_regions,
 )
@@ -252,7 +257,7 @@ def test_assign_sides(grid2x5):
 
 def test_pairwise_exchange_identity_mapping(grid2x5, phi10, reference_splits):
     p = reference_splits["a"]
-    new_p, result = pairwise_exchange(grid2x5, p, 0, 1, phi10)
+    new_p, result, _ = pairwise_exchange(grid2x5, p, 0, 1, phi10)
     assert result.improved
     assert new_p.region(0).tolist() == [0, 1, 2, 5, 6]
     assert new_p.region(1).tolist() == [3, 4, 7, 8, 9]
@@ -262,7 +267,7 @@ def test_pairwise_exchange_identity_mapping(grid2x5, phi10, reference_splits):
 def test_pairwise_exchange_position_matching(grid2x5, phi10, reference_splits):
     p = reference_splits["a"]
     # robot 0 sits right, robot 1 sits left: swapping sides is cheaper
-    new_p, result = pairwise_exchange(grid2x5, p, 0, 1, phi10, positions=(4, 5))
+    new_p, result, _ = pairwise_exchange(grid2x5, p, 0, 1, phi10, positions=(4, 5))
     assert result.improved
     assert new_p.region(0).tolist() == [3, 4, 7, 8, 9]
     assert new_p.region(1).tolist() == [0, 1, 2, 5, 6]
@@ -270,14 +275,14 @@ def test_pairwise_exchange_position_matching(grid2x5, phi10, reference_splits):
 
 def test_pairwise_exchange_robot_order_irrelevant(grid2x5, phi10, reference_splits):
     p = reference_splits["a"]
-    ij, _ = pairwise_exchange(grid2x5, p, 0, 1, phi10, positions=(2, 7))
-    ji, _ = pairwise_exchange(grid2x5, p, 1, 0, phi10, positions=(7, 2))
+    ij, _, _ = pairwise_exchange(grid2x5, p, 0, 1, phi10, positions=(2, 7))
+    ji, _, _ = pairwise_exchange(grid2x5, p, 1, 0, phi10, positions=(7, 2))
     assert ij == ji
 
 
 def test_pairwise_exchange_no_change(grid2x5, phi10, reference_splits):
     p = reference_splits["c"]
-    new_p, result = pairwise_exchange(grid2x5, p, 0, 1, phi10)
+    new_p, result, _ = pairwise_exchange(grid2x5, p, 0, 1, phi10)
     assert not result.improved
     assert new_p is p
 
@@ -311,10 +316,30 @@ def test_exchange_strictly_lowers_h_exp():
         )
         p.validate(g)
         before = h_exp(g, p, phi)
-        new_p, result = pairwise_exchange(g, p, 0, 1, phi)
+        new_p, result, _ = pairwise_exchange(g, p, 0, 1, phi)
         after = h_exp(g, new_p, phi)
         if result.improved:
             assert after < before
             assert not np.array_equal(new_p.owner, p.owner)
         else:
             assert after == before
+
+
+@settings(max_examples=150, deadline=None)
+@given(rng=st.randoms(use_true_random=False), n=st.integers(2, 10), swap=st.booleans())
+def test_rule_off_lattice_strict_and_settled(rng, n, swap):
+    n, edges = random_off_lattice_graph(rng, n)
+    g = WeightedGraph(n, edges)
+    phi = PhiWeights([off_lattice(rng) for _ in range(n)])
+    p = partition_from_regions(n, random_two_regions(rng, n, edges))
+    # one application leaves a pair the rule no longer changes
+    assert is_pairwise_optimal(g, pairwise_exchange(g, p, 0, 1, phi)[0], phi)
+
+    i, j = (1, 0) if swap else (0, 1)
+    before = tuple(centroid_and_cost(g, p.region(k), phi)[1] for k in (i, j))
+    positions = (rng.choice(p.region(i).tolist()), rng.choice(p.region(j).tolist()))
+    new_p, _, after = pairwise_exchange(g, p, i, j, phi, positions=positions)
+    if new_p is p:
+        return
+    assert sum(after) < sum(before)
+    assert after == tuple(centroid_and_cost(g, new_p.region(k), phi)[1] for k in (i, j))

@@ -3,8 +3,11 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import SPLIT_ZIGZAG, partition_from_regions
+from util_oracle import off_lattice, random_off_lattice_graph
 from gossipcover import (
     GOSSIP_COVERAGE,
     GOSSIP_LLOYD,
@@ -13,6 +16,7 @@ from gossipcover import (
     PartitionError,
     PhiWeights,
     SimConfig,
+    WeightedGraph,
     World,
     eligible_pairs,
     h_exp,
@@ -20,6 +24,7 @@ from gossipcover import (
     is_centroidal_voronoi,
     is_pairwise_optimal,
     parse_grid,
+    random_start,
     run,
     sample_destination,
     step,
@@ -324,6 +329,27 @@ def test_run_gossip_lloyd_reaches_its_own_fixed_point(grid2x5, phi10, reference_
     assert trace.final_cost == 1.2
     assert trace.exchange_count == 0
     assert not is_pairwise_optimal(grid2x5, trace.final_partition, phi10)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rng=st.randoms(use_true_random=False),
+    n=st.integers(3, 10),
+    budget=st.sampled_from([None, 1, 5]),
+)
+def test_run_off_lattice_converges_to_pairwise_optimal(rng, n, budget):
+    n, edges = random_off_lattice_graph(rng, n)
+    g = WeightedGraph(n, edges)
+    phi = PhiWeights([off_lattice(rng) for _ in range(n)])
+    _, part = random_start(g, 3, rng.randrange(1000))
+    # every pair stays in range, so meetings keep coming
+    r_comm = sum(w for _, _, w in edges) + 1.0
+    config = fig2a_config(
+        r_comm=r_comm, exchange_budget=budget, seed=rng.randrange(1000), max_time=2000.0
+    )
+    trace = run(g, part, phi, config, record_motion=False)
+    assert trace.converged
+    assert is_pairwise_optimal(g, trace.final_partition, phi)
 
 
 def test_run_obstacle_grid_converges_and_improves():

@@ -7,7 +7,9 @@ routes is meaningful.
 
 Random instance generators keep all edge weights and phi values on a
 0.25 lattice; sums and products of such values are exact in float64,
-which makes exact-equality assertions sound.
+which makes exact-equality assertions sound. The off-lattice generators
+draw them from [0.05, 3] instead, where sums taken in different orders
+can differ in the last bit.
 """
 
 import math
@@ -166,6 +168,16 @@ def random_two_regions(rng, n, edges):
 
 def random_phi(rng, n):
     return [lattice(rng, 1, 8) for _ in range(n)]
+
+
+def off_lattice(rng):
+    return rng.uniform(0.05, 3.0)
+
+
+def random_off_lattice_graph(rng, n):
+    """random_connected_graph with every weight redrawn by off_lattice."""
+    n, edges = random_connected_graph(rng, n)
+    return n, [(u, v, off_lattice(rng)) for u, v, _ in edges]
 
 
 def grid_edges(rows, cols, w=1.0):
