@@ -103,7 +103,6 @@ class _Options:
 
 
 def _sim_config(opts: _Options) -> SimConfig:
-    budget = opts.get("budget", int, 0)
     return SimConfig(
         speed=opts.get("speed", float, 0.4),
         r_comm=opts.get("rcomm", float, 2.5),
@@ -111,7 +110,7 @@ def _sim_config(opts: _Options) -> SimConfig:
         tau=opts.get("tau", float, 3.5),
         dt=opts.get("dt", float, 0.1),
         destination_mode=opts.get("dest_mode", str, UNIFORM_REGION),
-        exchange_budget=budget if budget > 0 else None,
+        exchange_budget=opts.get("budget", int, None),
         seed=opts.get("seed", int, 0),
         max_time=opts.get("max_time", float, 50000.0),
         convergence_window=opts.get("convergence_window", float, 30.0),

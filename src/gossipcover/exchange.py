@@ -212,22 +212,25 @@ def pairwise_exchange(
     phi: PhiWeights,
     budget: Optional[ExchangeBudget] = None,
     positions: Optional[tuple[int, int]] = None,
-    costs: Optional[tuple[float, float]] = None,
-) -> tuple[Partition, ExchangeResult, Optional[tuple[float, float]]]:
+    priced: Optional[tuple] = None,
+) -> tuple[Partition, ExchangeResult, Optional[tuple]]:
     """Apply the pairwise partitioning rule to robots i and j.
 
     The lower-indexed robot's region seeds the a-side of the scan. When
-    the scan improves on the current regions, both sides are priced at
-    their centroids, and the split is adopted only if that sum is
-    strictly below costs=(cost_i, cost_j), the current centroid costs
-    of the two regions (priced here when None). The adopted sides are
-    matched to the robots by travel distance when positions=(pos_i,
-    pos_j) is given, identity otherwise.
+    the scan improves on the current regions, both sides are priced
+    with centroid_and_cost, and the split is adopted only if their cost
+    sum is strictly below that of priced=((centroid_i, cost_i),
+    (centroid_j, cost_j)), the centroid_and_cost values of the two
+    current regions (priced here when None). Pricing a side also
+    guards it: centroid_and_cost raises PartitionError on an empty or
+    disconnected region. The adopted sides are matched to the robots
+    by travel distance when positions=(pos_i, pos_j) is given, identity
+    otherwise.
 
-    Returns the new partition, the scan result, and the centroid costs
-    of robots i and j afterwards. When nothing moves, the input
-    partition object comes back with the costs as given (None only if
-    costs was None and the scan found no improvement).
+    Returns the new partition, the scan result, and the (centroid,
+    cost) pairs of robots i and j afterwards. When nothing moves, the
+    input partition object comes back with priced as given (None only
+    if priced was None and the scan found no improvement).
     """
     if i == j:
         raise PartitionError("exchange needs two distinct robots")
@@ -236,27 +239,20 @@ def pairwise_exchange(
         graph, partition.region(lo), partition.region(hi), phi, budget
     )
     if not result.improved:
-        return partition, result, costs
+        return partition, result, priced
 
-    if costs is None:
-        costs = (
-            centroid_and_cost(graph, partition.region(i), phi)[1],
-            centroid_and_cost(graph, partition.region(j), phi)[1],
-        )
-    _, cost_a = centroid_and_cost(graph, result.side_a, phi)
-    _, cost_b = centroid_and_cost(graph, result.side_b, phi)
-    if not cost_a + cost_b < costs[0] + costs[1]:
-        return partition, result, costs
+    if priced is None:
+        priced = tuple(centroid_and_cost(graph, partition.region(k), phi) for k in (i, j))
+    priced_a = centroid_and_cost(graph, result.side_a, phi)
+    priced_b = centroid_and_cost(graph, result.side_b, phi)
+    if not priced_a[1] + priced_b[1] < priced[0][1] + priced[1][1]:
+        return partition, result, priced
 
-    sides = [(result.side_a, cost_a), (result.side_b, cost_b)]
+    sides = [(result.side_a, priced_a), (result.side_b, priced_b)]
     if positions is not None:
         pos = dict(zip((i, j), positions))
         if not assign_sides(graph, result.center_a, result.center_b, pos[lo], pos[hi]):
             sides.reverse()
-    (side_lo, cost_lo), (side_hi, cost_hi) = sides
+    (side_lo, priced_lo), (side_hi, priced_hi) = sides
     new_partition = partition.replace({lo: side_lo, hi: side_hi})
-    for robot in (lo, hi):
-        ids = new_partition.region(robot)
-        if ids.size == 0 or not is_connected(graph, ids.tolist()):
-            raise PartitionError(f"exchange produced an invalid region for robot {robot}")
-    return new_partition, result, (cost_lo, cost_hi) if i == lo else (cost_hi, cost_lo)
+    return new_partition, result, (priced_lo, priced_hi) if i == lo else (priced_hi, priced_lo)

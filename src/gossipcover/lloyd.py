@@ -26,21 +26,27 @@ from .partition import (
 
 
 def gossip_lloyd_exchange(
-    graph: WeightedGraph, partition: Partition, i: int, j: int, phi: PhiWeights
+    graph: WeightedGraph,
+    partition: Partition,
+    i: int,
+    j: int,
+    phi: PhiWeights,
+    centers: tuple[int, int],
 ) -> Partition:
     """Re-split the union of regions i and j by Voronoi from the old centroids.
 
-    Ties in union-induced distance go to the lower robot index. A pair
-    whose regions are not adjacent keeps its regions (each component of
-    the union is closer to its own centroid). Returns the input object
-    unchanged when nothing moves.
+    centers=(centroid_i, centroid_j) are the centroids of the two
+    current regions, as centroid gives them. Ties in union-induced
+    distance go to the lower robot index. A pair whose regions are not
+    adjacent keeps its regions (each component of the union is closer
+    to its own centroid). Returns the input object unchanged when
+    nothing moves.
     """
     if i == j:
         raise PartitionError("exchange needs two distinct robots")
     region_i = partition.region(i)
     region_j = partition.region(j)
-    ci = centroid(graph, region_i, phi)
-    cj = centroid(graph, region_j, phi)
+    ci, cj = centers
     union = np.union1d(region_i, region_j)
     di = one_to_all(graph, union, ci)[union]
     dj = one_to_all(graph, union, cj)[union]
@@ -95,7 +101,9 @@ def is_gossip_lloyd_fixed_point(
     graph: WeightedGraph, partition: Partition, phi: PhiWeights
 ) -> bool:
     """True when no adjacent pair's Lloyd exchange would move any vertex."""
+    centers = [centroid(graph, region, phi) for region in partition.regions()]
     for i, j in sorted(adjacency_edges(graph, partition)):
-        if gossip_lloyd_exchange(graph, partition, i, j, phi) is not partition:
+        moved = gossip_lloyd_exchange(graph, partition, i, j, phi, (centers[i], centers[j]))
+        if moved is not partition:
             return False
     return True

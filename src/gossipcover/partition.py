@@ -13,6 +13,7 @@ comparisons are exact.
 
 from __future__ import annotations
 
+import heapq
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -254,7 +255,12 @@ def h_exp(graph: WeightedGraph, partition: Partition, phi: PhiWeights) -> float:
 def voronoi_partition(
     graph: WeightedGraph, generators: Sequence[int]
 ) -> Partition:
-    """Partition by graph distance to generators; ties to the lowest index."""
+    """Partition by graph distance to generators; ties to the lowest index.
+
+    One search from all generators (hop counts on uniform graphs) settles
+    vertices in (distance, index) order, each joining the region it is
+    reached from, so regions stay connected where float path sums tie.
+    """
     gens = [int(g) for g in generators]
     if len(gens) == 0:
         raise PartitionError("need at least one generator")
@@ -263,8 +269,16 @@ def voronoi_partition(
     for g in gens:
         if not 0 <= g < graph.n:
             raise PartitionError(f"generator {g} out of range")
-    rows = np.array([one_to_all(graph, None, g) for g in gens])
-    owner = np.argmin(rows, axis=0).astype(np.int32)
+    owner = np.full(graph.n, -1, dtype=np.int32)
+    heap = [(0.0, k, g) for k, g in enumerate(gens)]
+    while heap:
+        d, k, u = heapq.heappop(heap)
+        if owner[u] >= 0:
+            continue
+        owner[u] = k
+        for v, w in graph.neighbors(u):
+            if owner[v] < 0:
+                heapq.heappush(heap, (d + (1.0 if graph.uniform_weights else w), k, v))
     return Partition(owner, len(gens))
 
 

@@ -9,7 +9,9 @@ triggers a pairwise territory exchange. Time advances in fixed dt
 steps: each step first moves every robot through a whole step of its
 current phase, then resolves at most one meeting per robot. Exchanges
 take zero simulated time; a robot whose vertex is traded away walks the
-full graph back to its territory before resuming the protocol.
+full graph back to its territory before resuming the protocol. A
+meeting of a pair that the rule already left unchanged at the same
+regions is counted but not re-evaluated.
 
 Everything is driven by one seeded random.Random stream, so a run is a
 pure function of (graph, partition, phi, config).
@@ -31,7 +33,6 @@ from .partition import (
     Partition,
     PartitionError,
     PhiWeights,
-    centroid,
     centroid_and_cost,
     is_pairwise_optimal,
 )
@@ -186,19 +187,17 @@ class World:
         self._fire_prob = 1.0 - math.exp(-config.lambda_comm * config.dt)
 
         n_robots = self.partition.n_robots
-        self._versions = [0] * n_robots
-        # (versions, budget resuming the scan, or None once it completed)
-        self._pair_state: dict[tuple[int, int], tuple] = {}
-        self._centroid_costs = np.empty(n_robots, dtype=np.float64)
-        for k in range(n_robots):
-            _, cost = centroid_and_cost(graph, self.partition.region(k), phi)
-            self._centroid_costs[k] = cost
-        self._h_now = float(self._centroid_costs.sum() / phi.total)
+        # (centroid, cost) of each robot's current region
+        self._centroids = [
+            centroid_and_cost(graph, region, phi) for region in self.partition.regions()
+        ]
+        self._h_now = _h_cached(self)
+        # (i, j) -> budget resuming the pair's scan, or None once the rule
+        # has left the pair unchanged; an adoption drops the pairs it touches
+        self._pair_state: dict[tuple[int, int], Optional[ExchangeBudget]] = {}
 
         if initial_positions is None:
-            starts = [
-                centroid(graph, self.partition.region(k), phi) for k in range(n_robots)
-            ]
+            starts = [c for c, _ in self._centroids]
         else:
             starts = [int(p) for p in initial_positions]
             if len(starts) != n_robots:
@@ -290,72 +289,54 @@ def _repair_robot(world: World, robot: RobotState) -> None:
     _choose_destination(world, robot)
 
 
-def _adopt(world: World, partition: Partition, i: int, j: int, costs: Sequence[float]) -> None:
-    world.partition = partition
-    for k, cost in zip((i, j), costs):
-        world._versions[k] += 1
-        world._centroid_costs[k] = cost
-    world._h_now = float(world._centroid_costs.sum() / world.phi.total)
-
-
-def _apply_gossip_lloyd(world: World, i: int, j: int) -> bool:
-    new_partition = gossip_lloyd_exchange(world.graph, world.partition, i, j, world.phi)
-    if new_partition is world.partition:
-        return False
-    costs = [
-        centroid_and_cost(world.graph, new_partition.region(k), world.phi)[1] for k in (i, j)
-    ]
-    _adopt(world, new_partition, i, j, costs)
-    return True
-
-
-def _apply_gossip_coverage(world: World, i: int, j: int) -> bool:
-    """Resume or start the pair's scan; a completed scan at unchanged
-    versions is not repeated."""
-    cap = world.config.exchange_budget
-    state = world._pair_state.get((i, j))
-    if state is not None and state[0] == (world._versions[i], world._versions[j]):
-        budget = state[1]
-        if budget is None:
-            return False
-    else:
-        budget = ExchangeBudget(max_pairs=cap)
-    new_partition, result, costs = pairwise_exchange(
-        world.graph,
-        world.partition,
-        i,
-        j,
-        world.phi,
-        budget,
-        positions=(world.robots[i].current_vertex, world.robots[j].current_vertex),
-        costs=(world._centroid_costs[i], world._centroid_costs[j]),
-    )
-    changed = new_partition is not world.partition
-    if changed:
-        _adopt(world, new_partition, i, j, costs)
-    world._pair_state[(i, j)] = (
-        (world._versions[i], world._versions[j]),
-        None if result.completed else result.next_budget(cap),
-    )
-    return changed
+def _h_cached(world: World) -> float:
+    # numpy's pairwise sum fixes the summation order, and so the bits, of h_exp
+    costs = np.array([cost for _, cost in world._centroids], dtype=np.float64)
+    return float(costs.sum() / world.phi.total)
 
 
 def _apply_meeting(world: World, i: int, j: int) -> None:
+    """Apply the meeting algorithm's rule to robots i < j."""
     world.meeting_count += 1
-    if world.algorithm == GOSSIP_LLOYD:
-        changed = _apply_gossip_lloyd(world, i, j)
-    else:
-        changed = _apply_gossip_coverage(world, i, j)
-    if changed:
-        world.exchange_count += 1
-        world.meetings_at_last_exchange = world.meeting_count
-        world.last_change_time = world.time
-        world._checked_since_change = False
-        _record(world, EXCHANGE, i, j)
-        _repair_robot(world, world.robots[i])
-        _repair_robot(world, world.robots[j])
-    else:
+    cap = world.config.exchange_budget
+    budget = world._pair_state.get((i, j), ExchangeBudget(max_pairs=cap))
+    if budget is None:
         _record(world, MEETING_NOCHANGE, i, j)
+        return
+    graph, partition, phi = world.graph, world.partition, world.phi
+    priced = (world._centroids[i], world._centroids[j])
+    if world.algorithm == GOSSIP_LLOYD:
+        centers = (priced[0][0], priced[1][0])
+        new_partition = gossip_lloyd_exchange(graph, partition, i, j, phi, centers)
+        if new_partition is partition:
+            state = None
+        else:
+            priced = tuple(centroid_and_cost(graph, new_partition.region(k), phi) for k in (i, j))
+            state = budget  # a Lloyd move leaves the pair open
+    else:
+        positions = (world.robots[i].current_vertex, world.robots[j].current_vertex)
+        new_partition, result, priced = pairwise_exchange(
+            graph, partition, i, j, phi, budget, positions=positions, priced=priced
+        )
+        state = None if result.completed else result.next_budget(cap)
+    if new_partition is partition:
+        world._pair_state[(i, j)] = state
+        _record(world, MEETING_NOCHANGE, i, j)
+        return
+    world.partition = new_partition
+    world._centroids[i], world._centroids[j] = priced
+    world._h_now = _h_cached(world)
+    world._pair_state = {
+        pair: kept for pair, kept in world._pair_state.items() if i not in pair and j not in pair
+    }
+    world._pair_state[(i, j)] = state
+    world.exchange_count += 1
+    world.meetings_at_last_exchange = world.meeting_count
+    world.last_change_time = world.time
+    world._checked_since_change = False
+    _record(world, EXCHANGE, i, j)
+    _repair_robot(world, world.robots[i])
+    _repair_robot(world, world.robots[j])
 
 
 def _resolve_meetings(world: World) -> None:

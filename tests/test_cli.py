@@ -85,6 +85,9 @@ def test_usage_errors_exit_1(env_file, capsys):
     campaign = ["campaign", env_file, "--n", "2", "--samples", "1"]
     assert main(campaign + ["--bin-origin", "inf"]) == 1
     assert main(campaign + ["--bin-width", "nan"]) == 1
+    for budget in ("0", "-5"):
+        assert main(["run", env_file, "--n", "2", "--budget", budget]) == 1
+        assert main(campaign + ["--budget", budget]) == 1
     capsys.readouterr()
 
 

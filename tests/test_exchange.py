@@ -341,5 +341,5 @@ def test_rule_off_lattice_strict_and_settled(rng, n, swap):
     new_p, _, after = pairwise_exchange(g, p, i, j, phi, positions=positions)
     if new_p is p:
         return
-    assert sum(after) < sum(before)
-    assert after == tuple(centroid_and_cost(g, new_p.region(k), phi)[1] for k in (i, j))
+    assert sum(cost for _, cost in after) < sum(before)
+    assert after == tuple(centroid_and_cost(g, new_p.region(k), phi) for k in (i, j))

@@ -9,6 +9,7 @@ from gossipcover import (
     PhiWeights,
     WeightedGraph,
     adjacency_edges,
+    centroid,
     decentralized_lloyd_fixed_point,
     decentralized_lloyd_round,
     gossip_lloyd_exchange,
@@ -29,13 +30,19 @@ def uniform(n):
     return PhiWeights.uniform(n)
 
 
+def lloyd_exchange(graph, part, i, j, phi):
+    """gossip_lloyd_exchange seeded at the current region centroids."""
+    centers = (centroid(graph, part.region(i), phi), centroid(graph, part.region(j), phi))
+    return gossip_lloyd_exchange(graph, part, i, j, phi, centers)
+
+
 # ---- gossip_lloyd_exchange ----
 
 
 def test_exchange_four_path_tie_goes_to_lower_robot():
     # centroids 0 and 2; vertex 1 ties at distance 1 and joins robot 0
     part = partition_from_regions(4, [[0], [1, 2, 3]])
-    new = gossip_lloyd_exchange(PATH4, part, 0, 1, uniform(4))
+    new = lloyd_exchange(PATH4, part, 0, 1, uniform(4))
     assert sorted(new.region(0)) == [0, 1]
     assert sorted(new.region(1)) == [2, 3]
 
@@ -44,31 +51,31 @@ def test_exchange_four_path_reversed_labels_is_fixed_point():
     # same split with swapped labels: the tied vertex already belongs to
     # the lower robot, so nothing moves
     part = partition_from_regions(4, [[1, 2, 3], [0]])
-    new = gossip_lloyd_exchange(PATH4, part, 0, 1, uniform(4))
+    new = lloyd_exchange(PATH4, part, 0, 1, uniform(4))
     assert new is part
 
 
 def test_exchange_unchanged_returns_same_object(grid2x5, phi10, reference_splits):
     part = reference_splits["a"]
-    assert gossip_lloyd_exchange(grid2x5, part, 0, 1, phi10) is part
+    assert lloyd_exchange(grid2x5, part, 0, 1, phi10) is part
 
 
 def test_exchange_robot_order_gives_same_split():
     part = partition_from_regions(4, [[0], [1, 2, 3]])
-    forward = gossip_lloyd_exchange(PATH4, part, 0, 1, uniform(4))
-    backward = gossip_lloyd_exchange(PATH4, part, 1, 0, uniform(4))
+    forward = lloyd_exchange(PATH4, part, 0, 1, uniform(4))
+    backward = lloyd_exchange(PATH4, part, 1, 0, uniform(4))
     assert np.array_equal(forward.owner, backward.owner)
 
 
 def test_exchange_rejects_same_robot():
     part = partition_from_regions(4, [[0], [1, 2, 3]])
     with pytest.raises(PartitionError):
-        gossip_lloyd_exchange(PATH4, part, 0, 0, uniform(4))
+        lloyd_exchange(PATH4, part, 0, 0, uniform(4))
 
 
 def test_exchange_non_adjacent_pair_unchanged():
     part = partition_from_regions(5, [[0, 1], [2], [3, 4]])
-    assert gossip_lloyd_exchange(PATH5, part, 0, 2, uniform(5)) is part
+    assert lloyd_exchange(PATH5, part, 0, 2, uniform(5)) is part
 
 
 def test_exchange_never_increases_cost_random():
@@ -84,7 +91,7 @@ def test_exchange_never_increases_cost_random():
         if not pairs:
             continue
         i, j = sorted(pairs)[rng.randrange(len(pairs))]
-        new = gossip_lloyd_exchange(graph, part, i, j, phi)
+        new = lloyd_exchange(graph, part, i, j, phi)
         new.validate(graph)
         assert h_exp(graph, new, phi) <= before + 1e-12
 

@@ -249,6 +249,17 @@ def test_voronoi_3path_tie():
     assert p.owner.tolist() == [1, 0, 0]
 
 
+def test_voronoi_regions_connected_where_float_sums_tie():
+    # 0.05 + 1.0 and 0.05000000000000001 + 1.0 both round to 1.05, so vertex 2
+    # ties between generators 4 and 0; its only neighbour, 1, is closer to 0
+    g = WeightedGraph(
+        5, [(0, 1, 0.05), (1, 2, 1.0), (0, 3, 1.0), (1, 4, 0.05000000000000001), (3, 4, 1.0)]
+    )
+    p = voronoi_partition(g, [3, 4, 0])
+    p.validate(g)
+    assert p.owner.tolist() == [2, 2, 2, 0, 1]
+
+
 def test_voronoi_validation(grid2x5):
     with pytest.raises(PartitionError):
         voronoi_partition(grid2x5, [])

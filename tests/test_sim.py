@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import SPLIT_ZIGZAG, partition_from_regions
 from util_oracle import off_lattice, random_off_lattice_graph
+import gossipcover.sim as sim
 from gossipcover import (
     GOSSIP_COVERAGE,
     GOSSIP_LLOYD,
@@ -18,11 +19,15 @@ from gossipcover import (
     SimConfig,
     WeightedGraph,
     World,
+    centroid,
+    centroid_and_cost,
     eligible_pairs,
+    gossip_lloyd_exchange,
     h_exp,
     h_one,
     is_centroidal_voronoi,
     is_pairwise_optimal,
+    pairwise_exchange,
     parse_grid,
     random_start,
     run,
@@ -30,7 +35,7 @@ from gossipcover import (
     step,
     voronoi_partition,
 )
-from gossipcover.sim import MOVING, RELOCATING, WAITING
+from gossipcover.sim import MEETING_NOCHANGE, MOVING, RELOCATING, WAITING, _apply_meeting
 
 PATH5 = parse_grid(".....\n")
 
@@ -350,6 +355,69 @@ def test_run_off_lattice_converges_to_pairwise_optimal(rng, n, budget):
     trace = run(g, part, phi, config, record_motion=False)
     assert trace.converged
     assert is_pairwise_optimal(g, trace.final_partition, phi)
+
+
+def rule_leaves_pair(world, i, j):
+    graph, part, phi = world.graph, world.partition, world.phi
+    if world.algorithm == GOSSIP_LLOYD:
+        centers = (centroid(graph, part.region(i), phi), centroid(graph, part.region(j), phi))
+        return gossip_lloyd_exchange(graph, part, i, j, phi, centers) is part
+    return pairwise_exchange(graph, part, i, j, phi)[0] is part
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    rng=st.randoms(use_true_random=False),
+    n=st.integers(3, 10),
+    algorithm=st.sampled_from([GOSSIP_COVERAGE, GOSSIP_LLOYD]),
+    budget=st.sampled_from([None, 1]),
+)
+def test_world_cache_matches_regions_after_every_step(rng, n, algorithm, budget):
+    n, edges = random_off_lattice_graph(rng, n)
+    g = WeightedGraph(n, edges)
+    phi = PhiWeights([off_lattice(rng) for _ in range(n)])
+    _, part = random_start(g, 3, rng.randrange(1000))
+    r_comm = sum(w for _, _, w in edges) + 1.0
+    config = fig2a_config(r_comm=r_comm, exchange_budget=budget, seed=rng.randrange(1000))
+    world = World(g, part, phi, config, algorithm=algorithm, record_motion=False)
+    for _ in range(60):
+        step(world)
+        regions = world.partition.regions()
+        assert world._centroids == [centroid_and_cost(g, region, phi) for region in regions]
+        for (i, j), state in world._pair_state.items():
+            if state is None:
+                assert rule_leaves_pair(world, i, j)
+        costs = np.array([cost for _, cost in world._centroids])
+        assert world.current_cost() == float(costs.sum() / phi.total)
+
+
+@pytest.mark.parametrize(
+    "algorithm, rule",
+    [(GOSSIP_LLOYD, "gossip_lloyd_exchange"), (GOSSIP_COVERAGE, "pairwise_exchange")],
+)
+def test_unchanged_pair_skipped_until_an_exchange_reopens_it(monkeypatch, algorithm, rule):
+    calls = []
+    original = getattr(sim, rule)
+
+    def counted(graph, partition, i, j, *args, **kwargs):
+        calls.append((i, j))
+        return original(graph, partition, i, j, *args, **kwargs)
+
+    monkeypatch.setattr(sim, rule, counted)
+    # (0, 1) is already settled; (1, 2) moves vertex 4 to robot 1
+    part = partition_from_regions(9, [[0, 1], [2, 3], [4, 5, 6, 7, 8]])
+    path9 = parse_grid(".........\n")
+    world = World(path9, part, PhiWeights.uniform(9), quiet_config(), algorithm=algorithm)
+    _apply_meeting(world, 0, 1)
+    _apply_meeting(world, 0, 1)
+    assert calls == [(0, 1)]
+    assert world.meeting_count == 2
+    assert [e.kind for e in world.events] == [MEETING_NOCHANGE, MEETING_NOCHANGE]
+    _apply_meeting(world, 1, 2)
+    assert world.exchange_count == 1
+    assert 4 in world.partition.region(1)
+    _apply_meeting(world, 0, 1)
+    assert calls == [(0, 1), (1, 2), (0, 1)]
 
 
 def test_run_obstacle_grid_converges_and_improves():
