@@ -12,10 +12,12 @@ from the recorded cursor reproduces the untruncated result bit for
 bit.
 
 The incumbent starts as the two input regions priced at their own
-centroids with region-induced distances. Because every vertex's
-shortest path to its winning center stays inside the winning side,
-both sides of any candidate split are connected and the candidate
-price equals sum_k min(d_U(a,k), d_U(b,k)) * phi(k).
+centroids with region-induced distances; a caller that holds those
+prices (the simulator keeps them per robot) passes them as priced=,
+and the scan builds only the union's distance matrix. Because every
+vertex's shortest path to its winning center stays inside the winning
+side, both sides of any candidate split are connected and the
+candidate price equals sum_k min(d_U(a,k), d_U(b,k)) * phi(k).
 
 The scan's improved flag compares candidates against the incumbent in
 scan order; the strict centroid-cost test that decides whether a split
@@ -31,13 +33,7 @@ from typing import Optional
 import numpy as np
 
 from .graph import WeightedGraph, is_connected, one_to_all, region_distance_matrix
-from .partition import (
-    Partition,
-    PartitionError,
-    PhiWeights,
-    centroid_and_cost,
-    centroid_in_units,
-)
+from .partition import Partition, PartitionError, PhiWeights, centroid_in_units
 
 
 @dataclass(frozen=True)
@@ -111,8 +107,15 @@ def optimal_two_partition(
     region_b,
     phi: PhiWeights,
     budget: Optional[ExchangeBudget] = None,
+    priced: Optional[tuple[tuple[int, float], tuple[int, float]]] = None,
 ) -> ExchangeResult:
-    """Anytime search for the cheapest two-center split of a region union."""
+    """Anytime search for the cheapest two-center split of a region union.
+
+    priced=((centroid_a, cost_a), (centroid_b, cost_b)) are the two
+    regions' centroids and costs as centroid_in_units gives them; a scan
+    without resume_centers starts from that incumbent (priced here when
+    None).
+    """
     if budget is None:
         budget = ExchangeBudget()
     a_ids = _clean_region(graph, region_a, "first")
@@ -131,8 +134,9 @@ def optimal_two_partition(
     local = {int(v): k for k, v in enumerate(union)}
 
     if budget.resume_centers is None:
-        ca, cost_a, _ = centroid_in_units(graph, a_ids, phi)
-        cb, cost_b, _ = centroid_in_units(graph, b_ids, phi)
+        if priced is None:
+            priced = (centroid_in_units(graph, a_ids, phi), centroid_in_units(graph, b_ids, phi))
+        (ca, cost_a), (cb, cost_b) = priced
         incumbent_cost = cost_a + cost_b
         dirty = False
     else:
@@ -213,39 +217,41 @@ def pairwise_exchange(
     budget: Optional[ExchangeBudget] = None,
     positions: Optional[tuple[int, int]] = None,
     priced: Optional[tuple] = None,
-) -> tuple[Partition, ExchangeResult, Optional[tuple]]:
+) -> tuple[Partition, ExchangeResult, tuple]:
     """Apply the pairwise partitioning rule to robots i and j.
 
-    The lower-indexed robot's region seeds the a-side of the scan. When
-    the scan improves on the current regions, both sides are priced
-    with centroid_and_cost, and the split is adopted only if their cost
-    sum is strictly below that of priced=((centroid_i, cost_i),
-    (centroid_j, cost_j)), the centroid_and_cost values of the two
-    current regions (priced here when None). Pricing a side also
-    guards it: centroid_and_cost raises PartitionError on an empty or
-    disconnected region. The adopted sides are matched to the robots
-    by travel distance when positions=(pos_i, pos_j) is given, identity
-    otherwise.
+    priced=((centroid_i, cost_i), (centroid_j, cost_j)) are the current
+    regions' prices as centroid_in_units gives them (priced here when
+    None); the scan starts from them, with the lower-indexed robot's
+    region as its a-side. When the scan improves on the current regions,
+    both sides are priced with centroid_in_units, and the split is
+    adopted only if their cost sum in meters (cost * (graph.unit_weight
+    or 1.0), the floats centroid_and_cost gives) is strictly below that
+    of the current regions. Pricing a side also guards it: it raises
+    PartitionError on an empty or disconnected region. The adopted sides
+    are matched to the robots by travel distance when
+    positions=(pos_i, pos_j) is given, identity otherwise.
 
     Returns the new partition, the scan result, and the (centroid,
     cost) pairs of robots i and j afterwards. When nothing moves, the
-    input partition object comes back with priced as given (None only
-    if priced was None and the scan found no improvement).
+    input partition object comes back with the current pairs.
     """
     if i == j:
         raise PartitionError("exchange needs two distinct robots")
     lo, hi = (i, j) if i < j else (j, i)
+    if priced is None:
+        priced = tuple(centroid_in_units(graph, partition.region(k), phi) for k in (i, j))
+    scan_priced = priced if i == lo else priced[::-1]
     result = optimal_two_partition(
-        graph, partition.region(lo), partition.region(hi), phi, budget
+        graph, partition.region(lo), partition.region(hi), phi, budget, scan_priced
     )
     if not result.improved:
         return partition, result, priced
 
-    if priced is None:
-        priced = tuple(centroid_and_cost(graph, partition.region(k), phi) for k in (i, j))
-    priced_a = centroid_and_cost(graph, result.side_a, phi)
-    priced_b = centroid_and_cost(graph, result.side_b, phi)
-    if not priced_a[1] + priced_b[1] < priced[0][1] + priced[1][1]:
+    priced_a = centroid_in_units(graph, result.side_a, phi)
+    priced_b = centroid_in_units(graph, result.side_b, phi)
+    unit = graph.unit_weight or 1.0
+    if not priced_a[1] * unit + priced_b[1] * unit < priced[0][1] * unit + priced[1][1] * unit:
         return partition, result, priced
 
     sides = [(result.side_a, priced_a), (result.side_b, priced_b)]

@@ -9,7 +9,7 @@ two-generator Voronoi seeded at the old region centroids).
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Collection, Optional, Sequence
 
 import numpy as np
 
@@ -98,11 +98,21 @@ def decentralized_lloyd_fixed_point(
 
 
 def is_gossip_lloyd_fixed_point(
-    graph: WeightedGraph, partition: Partition, phi: PhiWeights
+    graph: WeightedGraph,
+    partition: Partition,
+    phi: PhiWeights,
+    centers: Optional[Sequence[int]] = None,
+    done: Collection[tuple[int, int]] = (),
 ) -> bool:
-    """True when no adjacent pair's Lloyd exchange would move any vertex."""
-    centers = [centroid(graph, region, phi) for region in partition.regions()]
-    for i, j in sorted(adjacency_edges(graph, partition)):
+    """True when no adjacent pair's Lloyd exchange would move any vertex.
+
+    centers[k] is robot k's region centroid (computed here when None);
+    pairs (i, j), i < j, in done are known to be left unchanged by the
+    exchange at these regions and are not asked.
+    """
+    if centers is None:
+        centers = [centroid(graph, region, phi) for region in partition.regions()]
+    for i, j in sorted(adjacency_edges(graph, partition).difference(done)):
         moved = gossip_lloyd_exchange(graph, partition, i, j, phi, (centers[i], centers[j]))
         if moved is not partition:
             return False

@@ -14,7 +14,7 @@ comparisons are exact.
 from __future__ import annotations
 
 import heapq
-from typing import Iterable, Optional, Sequence
+from typing import Collection, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -205,25 +205,23 @@ def centroid_and_cost(
     lowest vertex id.
     """
     ids = np.asarray(sorted(set(int(v) for v in region)), dtype=np.int64)
+    best, cost = centroid_in_units(graph, ids, phi)
+    return best, cost * (graph.unit_weight or 1.0)
+
+
+def centroid_in_units(graph: WeightedGraph, ids: np.ndarray, phi: PhiWeights) -> tuple[int, float]:
+    """Centroid of the region with sorted vertex ids and its cost in
+    region_distance_matrix units (hops on uniform graphs; meters are
+    cost * (graph.unit_weight or 1.0)).
+    """
     if ids.size == 0:
         raise PartitionError("region is empty")
-    best, cost, unit = centroid_in_units(graph, ids, phi)
-    return best, cost * (unit or 1.0)
-
-
-def centroid_in_units(
-    graph: WeightedGraph, ids: np.ndarray, phi: PhiWeights
-) -> tuple[int, float, Optional[float]]:
-    """Centroid of the region with sorted vertex ids, its cost in
-    region_distance_matrix units (hops on uniform graphs), and the unit
-    weight that turns that cost into meters (None for general weights).
-    """
-    dmat, unit = region_distance_matrix(graph, ids)
+    dmat, _ = region_distance_matrix(graph, ids)
     if np.any(np.isinf(dmat)):
         raise PartitionError("region is disconnected")
     costs = dmat @ phi.values[ids]
     best = int(np.argmin(costs))
-    return int(ids[best]), float(costs[best]), unit
+    return int(ids[best]), float(costs[best])
 
 
 def centroid(graph: WeightedGraph, region: Iterable[int], phi: PhiWeights) -> int:
@@ -308,12 +306,24 @@ def is_centroidal_voronoi(
 
 
 def is_pairwise_optimal(
-    graph: WeightedGraph, partition: Partition, phi: PhiWeights
+    graph: WeightedGraph,
+    partition: Partition,
+    phi: PhiWeights,
+    priced: Optional[Sequence[tuple[int, float]]] = None,
+    done: Collection[tuple[int, int]] = (),
 ) -> bool:
-    """True when the pairwise exchange rule changes no adjacent pair."""
+    """True when the pairwise exchange rule changes no adjacent pair.
+
+    priced[k] is robot k's (centroid, cost) as centroid_in_units gives
+    it (priced here when None); pairs (i, j), i < j, in done are known to
+    be left unchanged by the rule at these regions and are not asked.
+    """
     from .exchange import pairwise_exchange
 
-    for i, j in sorted(adjacency_edges(graph, partition)):
-        if pairwise_exchange(graph, partition, i, j, phi)[0] is not partition:
+    if priced is None:
+        priced = [centroid_in_units(graph, region, phi) for region in partition.regions()]
+    for i, j in sorted(adjacency_edges(graph, partition).difference(done)):
+        moved, _, _ = pairwise_exchange(graph, partition, i, j, phi, priced=(priced[i], priced[j]))
+        if moved is not partition:
             return False
     return True

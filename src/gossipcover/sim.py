@@ -9,9 +9,16 @@ triggers a pairwise territory exchange. Time advances in fixed dt
 steps: each step first moves every robot through a whole step of its
 current phase, then resolves at most one meeting per robot. Exchanges
 take zero simulated time; a robot whose vertex is traded away walks the
-full graph back to its territory before resuming the protocol. A
-meeting of a pair that the rule already left unchanged at the same
-regions is counted but not re-evaluated.
+full graph back to its territory before resuming the protocol.
+
+Each robot's record (centroid, cost, destination candidates) is
+rewritten only for the two robots of an adopted exchange; meetings and
+convergence checks read their per-region quantities from it, so the
+exchange scan takes its incumbent from the cache and builds only the
+union's distance matrix. A meeting of a pair that the rule already left
+unchanged at the same regions, or whose regions share no graph edge
+(neither rule can move a vertex there), is counted but not evaluated;
+the convergence check skips the former.
 
 Everything is driven by one seeded random.Random stream, so a run is a
 pure function of (graph, partition, phi, config).
@@ -33,7 +40,7 @@ from .partition import (
     Partition,
     PartitionError,
     PhiWeights,
-    centroid_and_cost,
+    centroid_in_units,
     is_pairwise_optimal,
 )
 
@@ -128,12 +135,12 @@ class SimTrace:
     duration: float
 
 
-def sample_destination(rng: random.Random, graph: WeightedGraph, region, mode: str) -> int:
-    """Pick a destination vertex from a region.
+def destination_candidates(graph: WeightedGraph, region, mode: str) -> list[int]:
+    """The vertices a destination is drawn from, uniformly.
 
-    uniform: uniform over the region. boundary: uniform over region
-    vertices adjacent to a vertex outside the region, falling back to
-    uniform when that open boundary is empty (single-robot case).
+    uniform: the region. boundary: region vertices adjacent to a vertex
+    outside the region, falling back to the whole region when that open
+    boundary is empty (single-robot case).
     """
     ids = [int(v) for v in region]
     if not ids:
@@ -144,10 +151,16 @@ def sample_destination(rng: random.Random, graph: WeightedGraph, region, mode: s
             v for v in ids if any(nbr not in members for nbr, _ in graph.neighbors(v))
         ]
         if boundary:
-            return boundary[rng.randrange(len(boundary))]
+            return boundary
     elif mode != UNIFORM_REGION:
         raise ValueError(f"unknown destination mode {mode!r}")
-    return ids[rng.randrange(len(ids))]
+    return ids
+
+
+def sample_destination(rng: random.Random, graph: WeightedGraph, region, mode: str) -> int:
+    """Pick a destination vertex from a region (see destination_candidates)."""
+    candidates = destination_candidates(graph, region, mode)
+    return candidates[rng.randrange(len(candidates))]
 
 
 class World:
@@ -187,13 +200,19 @@ class World:
         self._fire_prob = 1.0 - math.exp(-config.lambda_comm * config.dt)
 
         n_robots = self.partition.n_robots
-        # (centroid, cost) of each robot's current region
-        self._centroids = [
-            centroid_and_cost(graph, region, phi) for region in self.partition.regions()
+        regions = self.partition.regions()
+        # per robot, for its current region: (centroid, cost) in
+        # region_distance_matrix units, and the destination candidates
+        self._centroids = [centroid_in_units(graph, region, phi) for region in regions]
+        self._destinations = [
+            destination_candidates(graph, region, config.destination_mode) for region in regions
         ]
+        edges = [(u, v) for u, v, _ in graph.edges()]
+        self._edge_ends = np.array(edges, dtype=np.int64).reshape(-1, 2).T
         self._h_now = _h_cached(self)
         # (i, j) -> budget resuming the pair's scan, or None once the rule
-        # has left the pair unchanged; an adoption drops the pairs it touches
+        # has left the pair unchanged or the two regions were found apart;
+        # an adoption drops the pairs it touches
         self._pair_state: dict[tuple[int, int], Optional[ExchangeBudget]] = {}
 
         if initial_positions is None:
@@ -221,15 +240,16 @@ def _record(world: World, kind: str, i: int, j: Optional[int], motion: bool = Fa
 
 
 def _choose_destination(world: World, robot: RobotState) -> None:
-    ids = world.partition.region(robot.id)
-    dest = sample_destination(world.rng, world.graph, ids, world.config.destination_mode)
+    candidates = world._destinations[robot.id]
+    dest = candidates[world.rng.randrange(len(candidates))]
     robot.edge_progress = 0.0
     if dest == robot.current_vertex:
         robot.path = []
         robot.mode = WAITING
         robot.wait_remaining = world.config.tau
         return
-    robot.path = shortest_path(world.graph, ids, robot.current_vertex, dest)[1:]
+    region = world.partition.region(robot.id)
+    robot.path = shortest_path(world.graph, region, robot.current_vertex, dest)[1:]
     robot.mode = MOVING
     _record(world, DEPARTURE, robot.id, None, motion=True)
 
@@ -290,9 +310,17 @@ def _repair_robot(world: World, robot: RobotState) -> None:
 
 
 def _h_cached(world: World) -> float:
-    # numpy's pairwise sum fixes the summation order, and so the bits, of h_exp
-    costs = np.array([cost for _, cost in world._centroids], dtype=np.float64)
+    # meters per robot are the floats centroid_and_cost gives; numpy's
+    # pairwise sum fixes the summation order, and so the bits, of h_exp
+    unit = world.graph.unit_weight or 1.0
+    costs = np.array([cost * unit for _, cost in world._centroids], dtype=np.float64)
     return float(costs.sum() / world.phi.total)
+
+
+def _regions_touch(world: World, i: int, j: int) -> bool:
+    """True when the regions of robots i and j share a graph edge."""
+    tails, heads = world.partition.owner[world._edge_ends]
+    return bool(np.any(((tails == i) & (heads == j)) | ((tails == j) & (heads == i))))
 
 
 def _apply_meeting(world: World, i: int, j: int) -> None:
@@ -300,7 +328,9 @@ def _apply_meeting(world: World, i: int, j: int) -> None:
     world.meeting_count += 1
     cap = world.config.exchange_budget
     budget = world._pair_state.get((i, j), ExchangeBudget(max_pairs=cap))
-    if budget is None:
+    if budget is None or not _regions_touch(world, i, j):
+        # regions that share no edge keep their vertices under either rule
+        world._pair_state[(i, j)] = None
         _record(world, MEETING_NOCHANGE, i, j)
         return
     graph, partition, phi = world.graph, world.partition, world.phi
@@ -311,7 +341,7 @@ def _apply_meeting(world: World, i: int, j: int) -> None:
         if new_partition is partition:
             state = None
         else:
-            priced = tuple(centroid_and_cost(graph, new_partition.region(k), phi) for k in (i, j))
+            priced = tuple(centroid_in_units(graph, new_partition.region(k), phi) for k in (i, j))
             state = budget  # a Lloyd move leaves the pair open
     else:
         positions = (world.robots[i].current_vertex, world.robots[j].current_vertex)
@@ -325,6 +355,10 @@ def _apply_meeting(world: World, i: int, j: int) -> None:
         return
     world.partition = new_partition
     world._centroids[i], world._centroids[j] = priced
+    for k in (i, j):
+        world._destinations[k] = destination_candidates(
+            graph, new_partition.region(k), world.config.destination_mode
+        )
     world._h_now = _h_cached(world)
     world._pair_state = {
         pair: kept for pair, kept in world._pair_state.items() if i not in pair and j not in pair
@@ -364,6 +398,17 @@ def step(world: World) -> World:
             _advance(world, robot, dt)
     _resolve_meetings(world)
     return world
+
+
+def _settled(world: World) -> bool:
+    """The algorithm's fixed-point predicate, from the cached centroids and
+    without asking the pairs the rule already left unchanged."""
+    done = {pair for pair, state in world._pair_state.items() if state is None}
+    graph, partition, phi = world.graph, world.partition, world.phi
+    if world.algorithm == GOSSIP_LLOYD:
+        centers = [c for c, _ in world._centroids]
+        return is_gossip_lloyd_fixed_point(graph, partition, phi, centers, done)
+    return is_pairwise_optimal(graph, partition, phi, world._centroids, done)
 
 
 def run(
@@ -406,12 +451,6 @@ def run(
             final_cost=initial_cost,
             duration=0.0,
         )
-    if algorithm == GOSSIP_LLOYD:
-        def settled() -> bool:
-            return is_gossip_lloyd_fixed_point(world.graph, world.partition, world.phi)
-    else:
-        def settled() -> bool:
-            return is_pairwise_optimal(world.graph, world.partition, world.phi)
     while world.time < config.max_time:
         step(world)
         if (
@@ -419,7 +458,7 @@ def run(
             and world.time - world.last_change_time >= config.convergence_window
         ):
             world._checked_since_change = True
-            if settled():
+            if _settled(world):
                 world.converged = True
                 break
     return SimTrace(

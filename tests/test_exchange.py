@@ -1,24 +1,32 @@
+import dataclasses
+import itertools
 import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gossipcover import (
     ExchangeBudget,
+    ExchangeResult,
     Partition,
     PartitionError,
     PhiWeights,
     WeightedGraph,
+    adjacency_edges,
     assign_sides,
+    centroid,
     centroid_and_cost,
+    gossip_lloyd_exchange,
     h_exp,
     is_pairwise_optimal,
     optimal_two_partition,
     pairwise_exchange,
+    random_start,
 )
 from gossipcover.graph import is_connected
+from gossipcover.partition import centroid_in_units
 
 from conftest import SPLIT_ROWS, SPLIT_ZIGZAG, partition_from_regions
 from util_oracle import (
@@ -341,5 +349,78 @@ def test_rule_off_lattice_strict_and_settled(rng, n, swap):
     new_p, _, after = pairwise_exchange(g, p, i, j, phi, positions=positions)
     if new_p is p:
         return
-    assert sum(cost for _, cost in after) < sum(before)
-    assert after == tuple(centroid_and_cost(g, new_p.region(k), phi) for k in (i, j))
+    assert after == tuple(centroid_in_units(g, new_p.region(k), phi) for k in (i, j))
+    meters = tuple((c, cost * (g.unit_weight or 1.0)) for c, cost in after)
+    assert sum(cost for _, cost in meters) < sum(before)
+    assert meters == tuple(centroid_and_cost(g, new_p.region(k), phi) for k in (i, j))
+
+
+def random_instance(rng, n, on_lattice):
+    if on_lattice:
+        n, edges = random_connected_graph(rng, n)
+        return n, edges, PhiWeights(random_phi(rng, n))
+    n, edges = random_off_lattice_graph(rng, n)
+    return n, edges, PhiWeights([off_lattice(rng) for _ in range(n)])
+
+
+def assert_same_result(got, want):
+    for f in dataclasses.fields(ExchangeResult):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype and np.array_equal(a, b), f.name
+        else:
+            assert type(a) is type(b) and a == b, f.name
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    rng=st.randoms(use_true_random=False),
+    n=st.integers(2, 10),
+    on_lattice=st.booleans(),
+    chunk=st.sampled_from([None, 1, 5]),
+)
+def test_scan_from_priced_incumbent_equals_fresh_scan(rng, n, on_lattice, chunk):
+    n, edges, phi = random_instance(rng, n, on_lattice)
+    g = WeightedGraph(n, edges)
+    sides = tuple(np.unique(region) for region in random_two_regions(rng, n, edges))
+    budget = ExchangeBudget(max_pairs=chunk)
+    # the rule hands the scan the cached prices in region order, whichever robot is i
+    p = partition_from_regions(n, sides)
+    fresh = optimal_two_partition(g, sides[0], sides[1], phi, budget)
+    for i, j in ((0, 1), (1, 0)):
+        priced = tuple(centroid_in_units(g, p.region(k), phi) for k in (i, j))
+        assert_same_result(pairwise_exchange(g, p, i, j, phi, budget, priced=priced)[1], fresh)
+    while True:
+        # the incumbent a caller caches for the regions it passes in
+        priced = tuple(centroid_in_units(g, side, phi) for side in sides)
+        fresh = optimal_two_partition(g, sides[0], sides[1], phi, budget)
+        cached = optimal_two_partition(g, sides[0], sides[1], phi, budget, priced=priced)
+        assert_same_result(cached, fresh)
+        if fresh.completed:
+            break
+        sides = (fresh.side_a, fresh.side_b)
+        budget = fresh.next_budget(chunk)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    rng=st.randoms(use_true_random=False),
+    n=st.integers(4, 10),
+    on_lattice=st.booleans(),
+    chunk=st.sampled_from([None, 1, 5]),
+)
+def test_rules_leave_non_adjacent_regions_unchanged(rng, n, on_lattice, chunk):
+    n, edges, phi = random_instance(rng, n, on_lattice)
+    g = WeightedGraph(n, edges)
+    k = rng.randint(3, min(5, n))
+    _, p = random_start(g, k, rng.randrange(1000))
+    touching = adjacency_edges(g, p)
+    pairs = itertools.permutations(range(k), 2)
+    apart = [(i, j) for i, j in pairs if (min(i, j), max(i, j)) not in touching]
+    assume(apart)
+    for i, j in apart:
+        positions = (rng.choice(p.region(i).tolist()), rng.choice(p.region(j).tolist()))
+        budget = ExchangeBudget(max_pairs=chunk)
+        assert pairwise_exchange(g, p, i, j, phi, budget, positions=positions)[0] is p
+        centers = (centroid(g, p.region(i), phi), centroid(g, p.region(j), phi))
+        assert gossip_lloyd_exchange(g, p, i, j, phi, centers) is p

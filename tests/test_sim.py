@@ -26,6 +26,7 @@ from gossipcover import (
     h_exp,
     h_one,
     is_centroidal_voronoi,
+    is_gossip_lloyd_fixed_point,
     is_pairwise_optimal,
     pairwise_exchange,
     parse_grid,
@@ -35,7 +36,15 @@ from gossipcover import (
     step,
     voronoi_partition,
 )
-from gossipcover.sim import MEETING_NOCHANGE, MOVING, RELOCATING, WAITING, _apply_meeting
+from gossipcover.partition import centroid_in_units
+from gossipcover.sim import (
+    MEETING_NOCHANGE,
+    MOVING,
+    RELOCATING,
+    WAITING,
+    _apply_meeting,
+    destination_candidates,
+)
 
 PATH5 = parse_grid(".....\n")
 
@@ -371,23 +380,37 @@ def rule_leaves_pair(world, i, j):
     n=st.integers(3, 10),
     algorithm=st.sampled_from([GOSSIP_COVERAGE, GOSSIP_LLOYD]),
     budget=st.sampled_from([None, 1]),
+    mode=st.sampled_from([UNIFORM_REGION, OPEN_BOUNDARY]),
 )
-def test_world_cache_matches_regions_after_every_step(rng, n, algorithm, budget):
+def test_world_cache_matches_regions_after_every_step(rng, n, algorithm, budget, mode):
     n, edges = random_off_lattice_graph(rng, n)
     g = WeightedGraph(n, edges)
     phi = PhiWeights([off_lattice(rng) for _ in range(n)])
     _, part = random_start(g, 3, rng.randrange(1000))
     r_comm = sum(w for _, _, w in edges) + 1.0
-    config = fig2a_config(r_comm=r_comm, exchange_budget=budget, seed=rng.randrange(1000))
+    config = fig2a_config(
+        r_comm=r_comm, exchange_budget=budget, seed=rng.randrange(1000), destination_mode=mode
+    )
     world = World(g, part, phi, config, algorithm=algorithm, record_motion=False)
     for _ in range(60):
         step(world)
         regions = world.partition.regions()
-        assert world._centroids == [centroid_and_cost(g, region, phi) for region in regions]
+        assert world._centroids == [centroid_in_units(g, region, phi) for region in regions]
+        meters = [(c, cost * (g.unit_weight or 1.0)) for c, cost in world._centroids]
+        assert meters == [centroid_and_cost(g, region, phi) for region in regions]
+        assert world._destinations == [
+            destination_candidates(g, region, mode) for region in regions
+        ]
         for (i, j), state in world._pair_state.items():
             if state is None:
                 assert rule_leaves_pair(world, i, j)
-        costs = np.array([cost for _, cost in world._centroids])
+        bare = (
+            is_gossip_lloyd_fixed_point(g, world.partition, phi)
+            if algorithm == GOSSIP_LLOYD
+            else is_pairwise_optimal(g, world.partition, phi)
+        )
+        assert sim._settled(world) == bare
+        costs = np.array([cost for _, cost in meters])
         assert world.current_cost() == float(costs.sum() / phi.total)
 
 
@@ -418,6 +441,27 @@ def test_unchanged_pair_skipped_until_an_exchange_reopens_it(monkeypatch, algori
     assert 4 in world.partition.region(1)
     _apply_meeting(world, 0, 1)
     assert calls == [(0, 1), (1, 2), (0, 1)]
+
+
+@pytest.mark.parametrize("algorithm", [GOSSIP_COVERAGE, GOSSIP_LLOYD])
+def test_out_of_contact_meeting_calls_no_rule(monkeypatch, algorithm):
+    calls = []
+    for rule in ("gossip_lloyd_exchange", "pairwise_exchange"):
+        monkeypatch.setattr(sim, rule, lambda *args, **kwargs: calls.append(args[2:4]))
+    # robots 0 and 2 are in radio range, but robot 1's region lies between theirs
+    part = partition_from_regions(9, [[0, 1], [2, 3], [4, 5, 6, 7, 8]])
+    path9 = parse_grid(".........\n")
+    world = World(
+        path9, part, PhiWeights.uniform(9), quiet_config(r_comm=20.0), algorithm=algorithm
+    )
+    assert (0, 2) in eligible_pairs(world)
+    _apply_meeting(world, 0, 2)
+    assert calls == []
+    assert world.meeting_count == 1
+    assert world.exchange_count == 0
+    assert [(e.kind, e.robot_i, e.robot_j) for e in world.events] == [(MEETING_NOCHANGE, 0, 2)]
+    assert world._pair_state[(0, 2)] is None
+    assert world.partition == part
 
 
 def test_run_obstacle_grid_converges_and_improves():
