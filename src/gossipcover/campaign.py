@@ -25,8 +25,8 @@ from .partition import (
     h_exp,
     is_centroidal_voronoi,
     is_pairwise_optimal,
+    load_partition,
     load_phi,
-    parse_partition,
     voronoi_partition,
 )
 from .sim import GOSSIP_COVERAGE, GOSSIP_LLOYD, SimConfig, SimTrace, run
@@ -171,16 +171,13 @@ def _load_start(
     graph: WeightedGraph, spec: CampaignSpec
 ) -> tuple[Optional[list[int]], Partition]:
     if spec.partition_file is not None:
-        with open(spec.partition_file) as fp:
-            partition = parse_partition(fp.read(), graph.n)
+        partition = load_partition(graph, spec.partition_file)
         if partition.n_robots != spec.n_robots:
             raise PartitionError(
                 f"partition file has {partition.n_robots} robots, expected {spec.n_robots}"
             )
-        partition.validate(graph)
         return None, partition
-    positions, partition = random_start(graph, spec.n_robots, spec.partition_seed)
-    return positions, partition
+    return random_start(graph, spec.n_robots, spec.partition_seed)
 
 
 def _check_final(graph: WeightedGraph, phi: PhiWeights, spec: CampaignSpec, trace: SimTrace) -> None:

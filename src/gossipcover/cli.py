@@ -42,8 +42,8 @@ from .partition import (
     h_exp,
     is_centroidal_voronoi,
     is_pairwise_optimal,
+    load_partition,
     load_phi,
-    parse_partition,
 )
 from .sim import (
     GOSSIP_COVERAGE,
@@ -92,6 +92,11 @@ class _Options:
     def __init__(self, args: argparse.Namespace):
         self.args = args
         self.config = _read_config(args.config) if getattr(args, "config", None) else {}
+        # a config key names an option of the subcommand by its flag's dest
+        options = set(vars(args)) - {"command", "handler", "environment", "config"}
+        unknown = sorted(set(self.config) - options)
+        if unknown:
+            raise ValueError(f"{args.config}: unknown config key {', '.join(unknown)}")
 
     def get(self, name: str, cast: Callable, default):
         cli = getattr(self.args, name, None)
@@ -117,19 +122,12 @@ def _sim_config(opts: _Options) -> SimConfig:
     )
 
 
-def _load_partition_file(graph: WeightedGraph, path: str) -> Partition:
-    with open(path) as fp:
-        partition = parse_partition(fp.read(), graph.n)
-    partition.validate(graph)
-    return partition
-
-
 def _start_condition(
     graph: WeightedGraph, opts: _Options
 ) -> tuple[Optional[list[int]], Partition]:
     partition_path = opts.get("partition", str, None)
     if partition_path is not None:
-        return None, _load_partition_file(graph, partition_path)
+        return None, load_partition(graph, partition_path)
     n_robots = opts.get("n", int, None)
     if n_robots is None:
         raise ValueError("give --n for a random start or --partition for a file")
@@ -191,7 +189,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         if partition_path is None:
             raise ValueError("give --n for a random start or --partition for a file")
         graph = load_environment(environment)
-        n_robots = _load_partition_file(graph, partition_path).n_robots
+        n_robots = load_partition(graph, partition_path).n_robots
     spec = CampaignSpec(
         environment=environment,
         n_robots=n_robots,
@@ -223,9 +221,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     graph = load_environment(resolve_environment(args.environment))
     phi = load_phi(graph, args.phi)
     try:
-        with open(args.partition) as fp:
-            partition = parse_partition(fp.read(), graph.n)
-        partition.validate(graph)
+        partition = load_partition(graph, args.partition)
     except PartitionError as exc:
         print("valid: no")
         print(f"error: {exc}", file=sys.stderr)
@@ -242,7 +238,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 def _cmd_cost(args: argparse.Namespace) -> int:
     graph = load_environment(resolve_environment(args.environment))
     phi = load_phi(graph, args.phi)
-    partition = _load_partition_file(graph, args.partition)
+    partition = load_partition(graph, args.partition)
     print(repr(h_exp(graph, partition, phi)))
     return 0
 

@@ -96,7 +96,7 @@ def _clean_region(graph: WeightedGraph, region, label: str) -> np.ndarray:
         raise PartitionError(f"{label} region is empty")
     if ids[0] < 0 or ids[-1] >= graph.n:
         raise PartitionError(f"{label} region has out-of-range vertices")
-    if not is_connected(graph, ids.tolist()):
+    if not is_connected(graph, ids):
         raise PartitionError(f"{label} region is disconnected")
     return ids
 
@@ -129,7 +129,7 @@ def optimal_two_partition(
     if budget.resume_cursor > scan_len:
         raise ValueError(f"resume_cursor {budget.resume_cursor} beyond scan length {scan_len}")
 
-    dmat, unit = region_distance_matrix(graph, union)
+    dmat = region_distance_matrix(graph, union)
     phi_u = phi.values[union]
     local = {int(v): k for k, v in enumerate(union)}
 
@@ -185,7 +185,7 @@ def optimal_two_partition(
         pairs_evaluated=end - cursor,
         completed=end == scan_len,
         cursor=end,
-        cost=incumbent_cost * (unit if unit is not None else 1.0),
+        cost=incumbent_cost * (graph.unit_weight or 1.0),
     )
 
 

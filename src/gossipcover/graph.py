@@ -16,6 +16,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 
 UNREACHABLE = math.inf
@@ -83,7 +84,7 @@ class WeightedGraph:
         self._ball_cache: dict[tuple[int, float], frozenset[int]] = {}
 
         if _validate and n > 1:
-            comps = _component_count(self)
+            comps, _ = connected_components(self.csr(), directed=False)
             if comps != 1:
                 raise DisconnectedEnvironmentError(
                     f"environment graph has {comps} connected components", comps
@@ -107,9 +108,6 @@ class WeightedGraph:
     def edge_count(self) -> int:
         return len(self._edges)
 
-    def vertices(self) -> range:
-        return range(self.n)
-
     def csr(self) -> csr_matrix:
         """Sparse adjacency matrix, built lazily and cached."""
         if self._csr is None:
@@ -129,45 +127,19 @@ class WeightedGraph:
     def neighborhood(self, v: int, radius: float) -> frozenset[int]:
         """Vertices at graph distance strictly less than radius from v.
 
-        Cached per (vertex, radius); used for communication-range tests.
+        Distances are meters accumulated edge by edge, also on uniform
+        graphs: six edges of 0.6 add up to 3.6, while 6 * 0.6 gives
+        3.5999999999999996. Cached per (vertex, radius); used for
+        communication-range tests.
         """
         key = (v, radius)
         ball = self._ball_cache.get(key)
         if ball is None:
-            dist = {v: 0.0}
-            queue = [(0.0, v)]
-            members = []
-            while queue:
-                d, u = heapq.heappop(queue)
-                if d > dist.get(u, UNREACHABLE):
-                    continue
-                members.append(u)
-                for nbr, w in self._adj[u]:
-                    nd = d + w
-                    if nd < radius and nd < dist.get(nbr, UNREACHABLE):
-                        dist[nbr] = nd
-                        heapq.heappush(queue, (nd, nbr))
-            ball = frozenset(members)
+            dist = np.full(self.n, UNREACHABLE)
+            _dijkstra_into(self, None, v, dist, limit=radius)
+            ball = frozenset(np.flatnonzero(dist < radius).tolist())
             self._ball_cache[key] = ball
         return ball
-
-
-def _component_count(graph: WeightedGraph) -> int:
-    seen = bytearray(graph.n)
-    comps = 0
-    for start in range(graph.n):
-        if seen[start]:
-            continue
-        comps += 1
-        seen[start] = 1
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for v, _ in graph.neighbors(u):
-                if not seen[v]:
-                    seen[v] = 1
-                    queue.append(v)
-    return comps
 
 
 def _outside_mask(graph: WeightedGraph, region: Optional[Iterable[int]]) -> Optional[bytearray]:
@@ -229,8 +201,13 @@ def _bfs_into(
 
 
 def _dijkstra_into(
-    graph: WeightedGraph, outside: Optional[bytearray], source: int, dist: np.ndarray
+    graph: WeightedGraph,
+    outside: Optional[bytearray],
+    source: int,
+    dist: np.ndarray,
+    limit: float = UNREACHABLE,
 ) -> None:
+    # vertices at limit or beyond are never settled and stay UNREACHABLE
     adj = graph._adj
     dist[source] = 0.0
     heap = [(0.0, source)]
@@ -241,7 +218,7 @@ def _dijkstra_into(
         for v, w in adj[u]:
             if outside is None or not outside[v]:
                 nd = d + w
-                if nd < dist[v]:
+                if nd < dist[v] and nd < limit:
                     dist[v] = nd
                     heapq.heappush(heap, (nd, v))
 
@@ -258,6 +235,12 @@ def shortest_path(
     dist = one_to_all(graph, region, frm)
     if not (0 <= to < graph.n and dist[to] != UNREACHABLE):
         raise ValueError(f"no path from {frm} to {to} within region")
+    return _walk_back(graph, dist, frm, to)
+
+
+def _walk_back(graph: WeightedGraph, dist: np.ndarray, frm: int, to: int) -> list[int]:
+    """The lowest-id predecessor path from frm to a reached vertex to,
+    given the one_to_all row dist of frm."""
     hop = graph.uniform_weights
     path = [to]
     v = to
@@ -278,46 +261,25 @@ def shortest_path(
 
 def is_connected(graph: WeightedGraph, region: Iterable[int]) -> bool:
     """True when the induced subgraph is connected and nonempty."""
-    verts = sorted(set(region))
-    if not verts:
+    ids = np.asarray(region if isinstance(region, np.ndarray) else list(region), dtype=np.int64)
+    if ids.size == 0:
         return False
-    for v in verts:
-        if not 0 <= v < graph.n:
-            raise ValueError(f"region vertex {v} out of range")
-    mask = bytearray(graph.n)
-    for v in verts:
-        mask[v] = 1
-    seen = bytearray(graph.n)
-    start = verts[0]
-    seen[start] = 1
-    queue = deque([start])
-    count = 1
-    while queue:
-        u = queue.popleft()
-        for v, _ in graph.neighbors(u):
-            if mask[v] and not seen[v]:
-                seen[v] = 1
-                count += 1
-                queue.append(v)
-    return count == len(verts)
+    outside = _outside_mask(graph, ids)
+    # _bfs_into marks each vertex it reaches in outside
+    _bfs_into(graph, outside, int(ids.min()), np.full(graph.n, UNREACHABLE))
+    return 0 not in outside
 
 
-def region_distance_matrix(
-    graph: WeightedGraph, region_ids: np.ndarray
-) -> tuple[np.ndarray, Optional[float]]:
+def region_distance_matrix(graph: WeightedGraph, region_ids: np.ndarray) -> np.ndarray:
     """All-pairs distances of the induced subgraph, ordered like region_ids.
 
-    Uniform-weight graphs return integer hop counts plus the unit weight
-    (distance in meters = hops * unit); exact integer arithmetic keeps
-    cost comparisons free of rounding. General weights return accumulated
-    distances and None.
+    Uniform-weight graphs give integer hop counts (distance in meters =
+    hops * graph.unit_weight); exact integer arithmetic keeps cost
+    comparisons free of rounding. General weights give accumulated
+    distances.
     """
     sub = graph.csr()[region_ids][:, region_ids]
-    if graph.uniform_weights:
-        hops = _csgraph_dijkstra(sub, directed=False, unweighted=True)
-        return hops, graph.unit_weight
-    dist = _csgraph_dijkstra(sub, directed=False)
-    return dist, None
+    return _csgraph_dijkstra(sub, directed=False, unweighted=graph.uniform_weights)
 
 
 def parse_grid(text: str) -> WeightedGraph:

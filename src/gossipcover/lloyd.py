@@ -57,7 +57,7 @@ def gossip_lloyd_exchange(
         return partition
     new_partition = partition.replace({i: side_i, j: side_j})
     for robot, ids in ((i, side_i), (j, side_j)):
-        if ids.size == 0 or not is_connected(graph, ids.tolist()):
+        if not is_connected(graph, ids):
             raise PartitionError(f"Lloyd exchange produced an invalid region for robot {robot}")
     return new_partition
 

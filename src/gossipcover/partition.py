@@ -136,7 +136,7 @@ class Partition:
             ids = self.region(i)
             if ids.size == 0:
                 raise PartitionError(f"robot {i} owns no vertices")
-            if not is_connected(graph, ids.tolist()):
+            if not is_connected(graph, ids):
                 raise PartitionError(f"region of robot {i} is disconnected")
 
 
@@ -170,6 +170,14 @@ def parse_partition(text: str, n_vertices: int) -> Partition:
     if missing.size:
         raise PartitionError(f"partition leaves vertex {int(missing[0])} unassigned")
     return Partition(owner, n_robots)
+
+
+def load_partition(graph: WeightedGraph, path: str) -> Partition:
+    """Read a partition file for the graph and validate it."""
+    with open(path) as fp:
+        partition = parse_partition(fp.read(), graph.n)
+    partition.validate(graph)
+    return partition
 
 
 def format_partition(partition: Partition) -> str:
@@ -216,7 +224,7 @@ def centroid_in_units(graph: WeightedGraph, ids: np.ndarray, phi: PhiWeights) ->
     """
     if ids.size == 0:
         raise PartitionError("region is empty")
-    dmat, _ = region_distance_matrix(graph, ids)
+    dmat = region_distance_matrix(graph, ids)
     if np.any(np.isinf(dmat)):
         raise PartitionError("region is disconnected")
     costs = dmat @ phi.values[ids]

@@ -34,7 +34,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .exchange import ExchangeBudget, pairwise_exchange
-from .graph import WeightedGraph, one_to_all, shortest_path
+from .graph import WeightedGraph, _walk_back, one_to_all, shortest_path
 from .lloyd import gossip_lloyd_exchange, is_gossip_lloyd_fixed_point
 from .partition import (
     Partition,
@@ -298,7 +298,7 @@ def _repair_robot(world: World, robot: RobotState) -> None:
     if robot.current_vertex not in members:
         dist = one_to_all(world.graph, None, robot.current_vertex)
         target = int(region[np.argmin(dist[region])])
-        robot.path = shortest_path(world.graph, None, robot.current_vertex, target)[1:]
+        robot.path = _walk_back(world.graph, dist, robot.current_vertex, target)[1:]
         robot.edge_progress = 0.0
         robot.mode = RELOCATING
         return

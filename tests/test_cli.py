@@ -191,6 +191,23 @@ def test_config_file_defaults_and_override(env_file, tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "line, named",
+    [
+        ("destination_mode = boundary", "destination_mode"),  # unknown key
+        ("speeed = 9", "speeed"),  # unknown key
+        ("dest_mode = sideways", "sideways"),  # known key, read and rejected
+    ],
+)
+def test_config_file_rejects_bad_keys(env_file, tmp_path, capsys, line, named):
+    config = tmp_path / "sim.cfg"
+    config.write_text(line + "\n")
+    code = main(["run", env_file, "--n", "2", "--config", str(config),
+                 "--out-dir", str(tmp_path / "out")] + FAST_FLAGS)
+    assert code == 1
+    assert named in capsys.readouterr().err
+
+
 def test_grid2graph_info_and_conversion(env_file, tmp_path, capsys):
     assert main(["grid2graph", env_file, "--info"]) == 0
     out = capsys.readouterr().out

@@ -26,7 +26,15 @@ from gossipcover.graph import (
     region_distance_matrix,
 )
 
-from util_oracle import floyd_warshall, induced_distances, random_connected_graph
+from util_oracle import (
+    floyd_warshall,
+    grid_edges,
+    induced_distances,
+    oracle_component_count,
+    oracle_connected,
+    random_connected_graph,
+    random_off_lattice_graph,
+)
 
 
 # ---- grid parsing ----
@@ -243,16 +251,16 @@ def test_shortest_path_stays_in_region_with_one_to_all_length(rng, n, weight):
 
 def test_region_distance_matrix(grid2x5):
     ids = np.array([0, 1, 5, 6])
-    dmat, unit = region_distance_matrix(grid2x5, ids)
-    assert unit == 1.0
+    dmat = region_distance_matrix(grid2x5, ids)
+    assert grid2x5.unit_weight == 1.0
     assert dmat[0].tolist() == [0, 1, 1, 2]
 
     g = parse_edge_list("3\n0 1 1.0\n1 2 2.0\n")
-    dmat, unit = region_distance_matrix(g, np.array([0, 1, 2]))
-    assert unit is None
+    dmat = region_distance_matrix(g, np.array([0, 1, 2]))
+    assert g.unit_weight is None
     assert dmat[0].tolist() == [0.0, 1.0, 3.0]
 
-    dmat, _ = region_distance_matrix(grid2x5, np.array([0, 9]))
+    dmat = region_distance_matrix(grid2x5, np.array([0, 9]))
     assert math.isinf(dmat[0][1])
 
 
@@ -297,6 +305,72 @@ def test_neighborhood_strict_radius(grid2x5):
     assert grid2x5.neighborhood(0, 0.5) == frozenset({0})
     # cached object comes back identical
     assert grid2x5.neighborhood(0, 2.5) is grid2x5.neighborhood(0, 2.5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rng=st.randoms(use_true_random=False), n=st.integers(1, 12), k=st.integers(0, 12))
+def test_is_connected_matches_oracle(rng, n, k):
+    n, edges = random_connected_graph(rng, n, extra_edge_prob=0.1)
+    g = WeightedGraph(n, edges)
+    subset = rng.sample(range(n), min(k, n))
+    expected = oracle_connected(n, edges, subset)
+    assert is_connected(g, subset) == expected
+    assert is_connected(g, np.array(subset, dtype=np.int64)) == expected
+
+
+def _added(w, times):
+    total = 0.0
+    for _ in range(times):
+        total += w
+    return total
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rng=st.randoms(use_true_random=False),
+    n=st.integers(2, 14),
+    shape=st.sampled_from(["off-lattice", "uniform", "grid"]),
+)
+def test_neighborhood_is_strict_on_accumulated_meters(rng, n, shape):
+    if shape == "off-lattice":
+        n, edges = random_off_lattice_graph(rng, n)
+    elif shape == "uniform":
+        n, edges = random_connected_graph(rng, n, extra_edge_prob=0.05, uniform=True)
+    else:
+        n, edges = grid_edges(rng.randint(1, 3), rng.randint(4, 10))
+    if shape != "off-lattice":
+        w = rng.choice([0.6, 0.1, 0.7])
+        edges = [(u, v, w) for u, v, _ in edges]
+    g = WeightedGraph(n, edges)
+    v = rng.randrange(n)
+    dist = one_to_all(g, None, v)
+    if g.uniform_weights:
+        w = g.unit_weight
+        # a vertex h hops away sits at w added h times, which can differ
+        # from h * w in the last bit (0.6 six times is 3.6, 6 * 0.6 is not)
+        meters = np.array([_added(w, int(h)) for h in dist])
+        radii = [_added(w, k) for k in range(1, n)] + [k * w for k in range(1, n)]
+    else:
+        meters = dist
+        radii = dist.tolist()
+    radii.append(rng.uniform(0.05, float(meters.max()) + 1.0))
+    for r in radii:
+        if r > 0:
+            assert g.neighborhood(v, r) == frozenset(np.flatnonzero(meters < r).tolist())
+
+
+@settings(max_examples=200, deadline=None)
+@given(rng=st.randoms(use_true_random=False), n=st.integers(2, 12))
+def test_constructor_counts_components_like_oracle(rng, n):
+    n, edges = random_connected_graph(rng, n)
+    kept = [e for e in edges if rng.random() < 0.6]
+    comps = oracle_component_count(n, kept)
+    if comps == 1:
+        assert WeightedGraph(n, kept).n == n
+        return
+    with pytest.raises(DisconnectedEnvironmentError) as info:
+        WeightedGraph(n, kept)
+    assert info.value.components == comps
 
 
 # ---- constructor validation ----

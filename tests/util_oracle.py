@@ -66,6 +66,19 @@ def oracle_connected(n, edges, subset):
     return seen == sub
 
 
+def oracle_component_count(n, edges):
+    root = list(range(n))
+
+    def find(v):
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    for u, v, _ in edges:
+        root[find(u)] = find(v)
+    return sum(1 for v in range(n) if find(v) == v)
+
+
 def oracle_h_one(n, edges, subset, h, phi):
     d = induced_distances(n, edges, subset)
     total = 0.0
