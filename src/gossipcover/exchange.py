@@ -9,7 +9,10 @@ center. Candidates are visited in lexicographic (a, b) order and
 replace the incumbent only on strictly lower cost, so truncating the
 scan at any point still leaves a valid (anytime) answer, and resuming
 from the recorded cursor reproduces the untruncated result bit for
-bit.
+bit: a resumed scan prices its incumbent (a, b) as entry b of row a's
+product, the float the scan accepted it at. A dot product over the same
+terms may sum them in another order and differ in the last bit off the
+0.25 weight lattice, which would change which later candidates win.
 
 The incumbent starts as the two input regions priced at their own
 centroids with region-induced distances; a caller that holds those
@@ -144,7 +147,7 @@ def optimal_two_partition(
         if ca not in local or cb not in local:
             raise ValueError("resume_centers outside the region union")
         ia, ib = local[ca], local[cb]
-        incumbent_cost = float(np.minimum(dmat[ia], dmat[ib]) @ phi_u)
+        incumbent_cost = float((np.minimum(dmat[ia], dmat) @ phi_u)[ib])
         dirty = True
 
     cursor = budget.resume_cursor

@@ -46,7 +46,6 @@ class WeightedGraph:
         n: int,
         edges: Iterable[tuple[int, int, float]],
         coords: Optional[Sequence[tuple[float, float]]] = None,
-        _validate: bool = True,
     ):
         if n <= 0:
             raise EmptyEnvironmentError("graph needs at least one vertex")
@@ -83,7 +82,7 @@ class WeightedGraph:
         self._csr: Optional[csr_matrix] = None
         self._ball_cache: dict[tuple[int, float], frozenset[int]] = {}
 
-        if _validate and n > 1:
+        if n > 1:
             comps, _ = connected_components(self.csr(), directed=False)
             if comps != 1:
                 raise DisconnectedEnvironmentError(

@@ -18,13 +18,7 @@ from typing import Collection, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .graph import (
-    UNREACHABLE,
-    WeightedGraph,
-    is_connected,
-    one_to_all,
-    region_distance_matrix,
-)
+from .graph import WeightedGraph, is_connected, one_to_all, region_distance_matrix
 
 
 class PartitionError(ValueError):
@@ -187,21 +181,35 @@ def format_partition(partition: Partition) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _center_costs(graph: WeightedGraph, ids: np.ndarray, phi: PhiWeights) -> np.ndarray:
+    """Cost of every vertex of the region with sorted ids as its center, in
+    region_distance_matrix units: the one place a region is priced.
+
+    Raises PartitionError when the region is empty, has out-of-range
+    vertices or is disconnected.
+    """
+    if ids.size == 0:
+        raise PartitionError("region is empty")
+    if ids[0] < 0 or ids[-1] >= graph.n:
+        raise PartitionError("region has out-of-range vertices")
+    dmat = region_distance_matrix(graph, ids)
+    if np.any(np.isinf(dmat)):
+        raise PartitionError("region is disconnected")
+    return dmat @ phi.values[ids]
+
+
 def h_one(graph: WeightedGraph, region: Iterable[int], h: int, phi: PhiWeights) -> float:
     """Phi-weighted sum of distances from center h over the induced region.
 
     Raises PartitionError when h lies outside the region or the region
-    is disconnected.
+    is empty, out of range or disconnected.
     """
     ids = np.asarray(sorted(set(int(v) for v in region)), dtype=np.int64)
-    if ids.size == 0:
-        raise PartitionError("region is empty")
-    if h not in set(ids.tolist()):
+    costs = _center_costs(graph, ids, phi)
+    k = int(np.searchsorted(ids, h))
+    if k == ids.size or ids[k] != h:
         raise PartitionError(f"center {h} not in region")
-    dist = one_to_all(graph, ids, h)[ids]
-    if np.any(dist == UNREACHABLE):
-        raise PartitionError("region is disconnected")
-    return float(dist @ phi.values[ids]) * (graph.unit_weight or 1.0)
+    return float(costs[k]) * (graph.unit_weight or 1.0)
 
 
 def centroid_and_cost(
@@ -222,18 +230,22 @@ def centroid_in_units(graph: WeightedGraph, ids: np.ndarray, phi: PhiWeights) ->
     region_distance_matrix units (hops on uniform graphs; meters are
     cost * (graph.unit_weight or 1.0)).
     """
-    if ids.size == 0:
-        raise PartitionError("region is empty")
-    dmat = region_distance_matrix(graph, ids)
-    if np.any(np.isinf(dmat)):
-        raise PartitionError("region is disconnected")
-    costs = dmat @ phi.values[ids]
+    costs = _center_costs(graph, ids, phi)
     best = int(np.argmin(costs))
     return int(ids[best]), float(costs[best])
 
 
 def centroid(graph: WeightedGraph, region: Iterable[int], phi: PhiWeights) -> int:
     return centroid_and_cost(graph, region, phi)[0]
+
+
+def expected_cost(meters: Sequence[float], phi: PhiWeights) -> float:
+    """Per-region costs in meters, in robot order, averaged over phi mass.
+
+    numpy's pairwise sum fixes the summation order, and so the bits, of
+    every expected cost the package reports.
+    """
+    return float(np.array(meters, dtype=np.float64).sum() / phi.total)
 
 
 def h_multicenter(
@@ -245,17 +257,13 @@ def h_multicenter(
     """Average of per-region center costs over total phi mass."""
     if len(centers) != partition.n_robots:
         raise PartitionError("one center per robot required")
-    total = 0.0
-    for i, c in enumerate(centers):
-        total += h_one(graph, partition.region(i).tolist(), int(c), phi)
-    return total / phi.total
+    regions = partition.regions()
+    return expected_cost([h_one(graph, r, int(c), phi) for r, c in zip(regions, centers)], phi)
+
 
 def h_exp(graph: WeightedGraph, partition: Partition, phi: PhiWeights) -> float:
     """Expected coverage cost: centroid costs averaged over phi mass."""
-    total = 0.0
-    for i in range(partition.n_robots):
-        total += centroid_and_cost(graph, partition.region(i), phi)[1]
-    return total / phi.total
+    return expected_cost([centroid_and_cost(graph, r, phi)[1] for r in partition.regions()], phi)
 
 
 def voronoi_partition(

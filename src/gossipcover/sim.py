@@ -41,6 +41,7 @@ from .partition import (
     PartitionError,
     PhiWeights,
     centroid_in_units,
+    expected_cost,
     is_pairwise_optimal,
 )
 
@@ -209,7 +210,9 @@ class World:
         ]
         edges = [(u, v) for u, v, _ in graph.edges()]
         self._edge_ends = np.array(edges, dtype=np.int64).reshape(-1, 2).T
-        self._h_now = _h_cached(self)
+        # meters per robot are the floats centroid_and_cost gives
+        unit = graph.unit_weight or 1.0
+        self._h_now = expected_cost([cost * unit for _, cost in self._centroids], phi)
         # (i, j) -> budget resuming the pair's scan, or None once the rule
         # has left the pair unchanged or the two regions were found apart;
         # an adoption drops the pairs it touches
@@ -309,14 +312,6 @@ def _repair_robot(world: World, robot: RobotState) -> None:
     _choose_destination(world, robot)
 
 
-def _h_cached(world: World) -> float:
-    # meters per robot are the floats centroid_and_cost gives; numpy's
-    # pairwise sum fixes the summation order, and so the bits, of h_exp
-    unit = world.graph.unit_weight or 1.0
-    costs = np.array([cost * unit for _, cost in world._centroids], dtype=np.float64)
-    return float(costs.sum() / world.phi.total)
-
-
 def _regions_touch(world: World, i: int, j: int) -> bool:
     """True when the regions of robots i and j share a graph edge."""
     tails, heads = world.partition.owner[world._edge_ends]
@@ -359,7 +354,8 @@ def _apply_meeting(world: World, i: int, j: int) -> None:
         world._destinations[k] = destination_candidates(
             graph, new_partition.region(k), world.config.destination_mode
         )
-    world._h_now = _h_cached(world)
+    unit = graph.unit_weight or 1.0
+    world._h_now = expected_cost([cost * unit for _, cost in world._centroids], phi)
     world._pair_state = {
         pair: kept for pair, kept in world._pair_state.items() if i not in pair and j not in pair
     }
@@ -438,20 +434,9 @@ def run(
         record_motion=record_motion,
     )
     initial_cost = world.current_cost()
-    if world.partition.n_robots == 1:
-        return SimTrace(
-            events=[],
-            final_partition=world.partition,
-            exchange_count=0,
-            meeting_count=0,
-            meetings_to_equilibrium=0,
-            converged=True,
-            seed=config.seed,
-            initial_cost=initial_cost,
-            final_cost=initial_cost,
-            duration=0.0,
-        )
-    while world.time < config.max_time:
+    # a lone robot has no pair to exchange with
+    world.converged = world.partition.n_robots == 1
+    while not world.converged and world.time < config.max_time:
         step(world)
         if (
             not world._checked_since_change

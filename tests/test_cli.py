@@ -264,3 +264,20 @@ def test_off_lattice_run_converges_and_checks_pairwise_optimal(tmp_path, capsys)
     assert "converged=yes" in capsys.readouterr().out
     assert main(["check", str(env), str(out_dir / "final.partition")]) == 0
     assert "pairwise-optimal: yes" in capsys.readouterr().out
+
+
+def test_cost_of_final_partition_equals_summary_final_cost(tmp_path, capsys):
+    # 9 robots: the per-region costs are summed pairwise, not in sequence
+    out_dir = tmp_path / "out"
+    code = main(
+        ["run", "lab-like", "--n", "9", "--partition-seed", "1", "--max-time", "300",
+         "--out-dir", str(out_dir)]
+    )
+    assert code == 0
+    capsys.readouterr()
+    summary = dict(
+        line.split("=", 1) for line in (out_dir / "summary.txt").read_text().splitlines()
+    )
+    assert int(summary["exchanges"]) > 0
+    assert main(["cost", "lab-like", str(out_dir / "final.partition")]) == 0
+    assert capsys.readouterr().out == summary["final_cost"] + "\n"

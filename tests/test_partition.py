@@ -27,9 +27,11 @@ from gossipcover import (
 from conftest import SPLIT_ROWS, SPLIT_BLOCKS, SPLIT_ZIGZAG, partition_from_regions
 from util_oracle import (
     grid_edges,
+    off_lattice,
     oracle_centroid,
     oracle_h_one,
     random_connected_graph,
+    random_off_lattice_graph,
     random_phi,
 )
 
@@ -171,15 +173,31 @@ def test_centroid_matches_oracle_random():
 
 
 def test_centroid_membership_property():
+    # 20 graphs on the 0.25 lattice, then 20 off it, where only one pricing
+    # expression keeps h_one at the centroid equal to the centroid cost
     rng = random.Random(31)
-    for _ in range(20):
-        n, edges = random_connected_graph(rng, rng.randint(2, 9))
+    for trial in range(40):
+        if trial < 20:
+            n, edges = random_connected_graph(rng, rng.randint(2, 9))
+            phi = PhiWeights(random_phi(rng, n))
+        else:
+            n, edges = random_off_lattice_graph(rng, rng.randint(2, 9))
+            phi = PhiWeights([off_lattice(rng) for _ in range(n)])
         g = WeightedGraph(n, edges)
-        phi = PhiWeights(random_phi(rng, n))
         c, cost = centroid_and_cost(g, range(n), phi)
         assert 0 <= c < n
+        assert h_one(g, range(n), c, phi) == cost
         for h in range(n):
             assert cost <= h_one(g, range(n), h, phi)
+
+
+@pytest.mark.parametrize("region", [[-1, 8], [-2, -1, 7], [9, 10]])
+def test_pricing_rejects_out_of_range_ids(grid2x5, phi10, region):
+    # negative ids would wrap through numpy and scipy indexing
+    with pytest.raises(ValueError):
+        centroid_and_cost(grid2x5, region, phi10)
+    with pytest.raises(ValueError):
+        h_one(grid2x5, region, region[-1], phi10)
 
 
 # ---- expected coverage cost ----

@@ -24,6 +24,7 @@ from gossipcover import (
     eligible_pairs,
     gossip_lloyd_exchange,
     h_exp,
+    h_multicenter,
     h_one,
     is_centroidal_voronoi,
     is_gossip_lloyd_fixed_point,
@@ -364,6 +365,29 @@ def test_run_off_lattice_converges_to_pairwise_optimal(rng, n, budget):
     trace = run(g, part, phi, config, record_motion=False)
     assert trace.converged
     assert is_pairwise_optimal(g, trace.final_partition, phi)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    rng=st.randoms(use_true_random=False),
+    n_robots=st.integers(8, 12),
+    algorithm=st.sampled_from([GOSSIP_COVERAGE, GOSSIP_LLOYD]),
+)
+def test_reported_costs_equal_h_exp(rng, n_robots, algorithm):
+    # from 8 costs up numpy no longer sums in sequence, so a second way of
+    # summing would differ from h_exp in the last bit
+    n, edges = random_off_lattice_graph(rng, rng.randint(n_robots, 20))
+    g = WeightedGraph(n, edges)
+    phi = PhiWeights([off_lattice(rng) for _ in range(n)])
+    _, part = random_start(g, n_robots, rng.randrange(1000))
+    r_comm = sum(w for _, _, w in edges) + 1.0
+    config = fig2a_config(r_comm=r_comm, seed=rng.randrange(1000), max_time=50.0)
+    assert World(g, part, phi, config).current_cost() == h_exp(g, part, phi)
+    trace = run(g, part, phi, config, algorithm=algorithm, record_motion=False)
+    assert trace.final_cost == h_exp(g, trace.final_partition, phi)
+    for p in (part, trace.final_partition):
+        centroids = [centroid(g, region, phi) for region in p.regions()]
+        assert h_multicenter(g, centroids, p, phi) == h_exp(g, p, phi)
 
 
 def rule_leaves_pair(world, i, j):
