@@ -36,7 +36,7 @@ from typing import Optional
 import numpy as np
 
 from .graph import WeightedGraph, is_connected, one_to_all, region_distance_matrix
-from .partition import Partition, PartitionError, PhiWeights, centroid_in_units
+from .partition import Partition, PartitionError, PhiWeights, centroid_in_units, price_region
 
 
 @dataclass(frozen=True)
@@ -220,24 +220,26 @@ def pairwise_exchange(
     budget: Optional[ExchangeBudget] = None,
     positions: Optional[tuple[int, int]] = None,
     priced: Optional[tuple] = None,
-) -> tuple[Partition, ExchangeResult, tuple]:
+) -> tuple[Partition, ExchangeResult, tuple, Optional[tuple[np.ndarray, np.ndarray]]]:
     """Apply the pairwise partitioning rule to robots i and j.
 
     priced=((centroid_i, cost_i), (centroid_j, cost_j)) are the current
     regions' prices as centroid_in_units gives them (priced here when
     None); the scan starts from them, with the lower-indexed robot's
     region as its a-side. When the scan improves on the current regions,
-    both sides are priced with centroid_in_units, and the split is
-    adopted only if their cost sum in meters (cost * (graph.unit_weight
-    or 1.0), the floats centroid_and_cost gives) is strictly below that
-    of the current regions. Pricing a side also guards it: it raises
+    both sides are priced with price_region, and the split is adopted
+    only if their cost sum in meters (cost * (graph.unit_weight or 1.0),
+    the floats centroid_and_cost gives) is strictly below that of the
+    current regions. Pricing a side also guards it: it raises
     PartitionError on an empty or disconnected region. The adopted sides
     are matched to the robots by travel distance when
     positions=(pos_i, pos_j) is given, identity otherwise.
 
-    Returns the new partition, the scan result, and the (centroid,
-    cost) pairs of robots i and j afterwards. When nothing moves, the
-    input partition object comes back with the current pairs.
+    Returns the new partition, the scan result, the (centroid, cost)
+    pairs of robots i and j afterwards, and the region_distance_matrix
+    of each of their new regions, the one that priced it. When nothing
+    moves, the input partition object comes back with the current pairs
+    and no matrices.
     """
     if i == j:
         raise PartitionError("exchange needs two distinct robots")
@@ -249,19 +251,21 @@ def pairwise_exchange(
         graph, partition.region(lo), partition.region(hi), phi, budget, scan_priced
     )
     if not result.improved:
-        return partition, result, priced
+        return partition, result, priced, None
 
-    priced_a = centroid_in_units(graph, result.side_a, phi)
-    priced_b = centroid_in_units(graph, result.side_b, phi)
+    priced_a, dmat_a = price_region(graph, result.side_a, phi)
+    priced_b, dmat_b = price_region(graph, result.side_b, phi)
     unit = graph.unit_weight or 1.0
     if not priced_a[1] * unit + priced_b[1] * unit < priced[0][1] * unit + priced[1][1] * unit:
-        return partition, result, priced
+        return partition, result, priced, None
 
-    sides = [(result.side_a, priced_a), (result.side_b, priced_b)]
+    sides = [(result.side_a, priced_a, dmat_a), (result.side_b, priced_b, dmat_b)]
     if positions is not None:
         pos = dict(zip((i, j), positions))
         if not assign_sides(graph, result.center_a, result.center_b, pos[lo], pos[hi]):
             sides.reverse()
-    (side_lo, priced_lo), (side_hi, priced_hi) = sides
-    new_partition = partition.replace({lo: side_lo, hi: side_hi})
-    return new_partition, result, (priced_lo, priced_hi) if i == lo else (priced_hi, priced_lo)
+    if i != lo:
+        sides.reverse()
+    (side_i, priced_i, dmat_i), (side_j, priced_j, dmat_j) = sides
+    new_partition = partition.replace({i: side_i, j: side_j})
+    return new_partition, result, (priced_i, priced_j), (dmat_i, dmat_j)

@@ -12,7 +12,8 @@ from __future__ import annotations
 import heapq
 import math
 from collections import deque
-from typing import Iterable, Iterator, Optional, Sequence
+from itertools import chain
+from typing import Iterable, Iterator, ItemsView, Optional, Sequence
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -50,9 +51,9 @@ class WeightedGraph:
         if n <= 0:
             raise EmptyEnvironmentError("graph needs at least one vertex")
         self.n = n
-        adj: list[list[tuple[int, float]]] = [[] for _ in range(n)]
+        # per vertex: {neighbour: weight}, in edge input order
+        adj: list[dict[int, float]] = [{} for _ in range(n)]
         edge_list: list[tuple[int, int, float]] = []
-        seen: set[tuple[int, int]] = set()
         for u, v, w in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise GraphFormatError(f"edge ({u},{v}) out of range for {n} vertices")
@@ -60,14 +61,12 @@ class WeightedGraph:
                 raise GraphFormatError(f"self-loop at vertex {u}")
             if w <= 0 or not math.isfinite(w):
                 raise GraphFormatError(f"edge ({u},{v}) has non-positive weight {w}")
-            key = (min(u, v), max(u, v))
-            if key in seen:
+            if v in adj[u]:
                 raise GraphFormatError(f"duplicate edge ({u},{v})")
-            seen.add(key)
             w = float(w)
-            adj[u].append((v, w))
-            adj[v].append((u, w))
-            edge_list.append((key[0], key[1], w))
+            adj[u][v] = w
+            adj[v][u] = w
+            edge_list.append((min(u, v), max(u, v), w))
         self._adj = adj
         self._edges = edge_list
         if coords is not None and len(coords) != n:
@@ -83,7 +82,9 @@ class WeightedGraph:
         self._ball_cache: dict[tuple[int, float], frozenset[int]] = {}
 
         if n > 1:
-            comps, _ = connected_components(self.csr(), directed=False)
+            # the adjacency is symmetric: its strong components are the
+            # undirected ones
+            comps, _ = connected_components(self.csr(), directed=True, connection="strong")
             if comps != 1:
                 raise DisconnectedEnvironmentError(
                     f"environment graph has {comps} connected components", comps
@@ -91,14 +92,15 @@ class WeightedGraph:
 
     # ---- basic queries ----
 
-    def neighbors(self, v: int) -> list[tuple[int, float]]:
-        return self._adj[v]
+    def neighbors(self, v: int) -> ItemsView[int, float]:
+        """(neighbour, weight) pairs of v."""
+        return self._adj[v].items()
 
     def edge_weight(self, u: int, v: int) -> float:
-        for nbr, w in self._adj[u]:
-            if nbr == v:
-                return w
-        raise KeyError(f"no edge between {u} and {v}")
+        try:
+            return self._adj[u][v]
+        except KeyError:
+            raise KeyError(f"no edge between {u} and {v}") from None
 
     def edges(self) -> Iterator[tuple[int, int, float]]:
         return iter(self._edges)
@@ -108,19 +110,16 @@ class WeightedGraph:
         return len(self._edges)
 
     def csr(self) -> csr_matrix:
-        """Sparse adjacency matrix, built lazily and cached."""
+        """Symmetric sparse adjacency matrix (both directions of every edge,
+        weights as data), built lazily from the adjacency and cached."""
         if self._csr is None:
-            rows = []
-            cols = []
-            data = []
-            for u, v, w in self._edges:
-                rows.append(u)
-                cols.append(v)
-                data.append(w)
-            self._csr = csr_matrix(
-                (np.asarray(data), (np.asarray(rows), np.asarray(cols))),
-                shape=(self.n, self.n),
-            )
+            indptr = np.zeros(self.n + 1, dtype=np.int64)
+            np.cumsum([len(nbrs) for nbrs in self._adj], out=indptr[1:])
+            nnz = int(indptr[-1])
+            indices = np.fromiter(chain.from_iterable(self._adj), dtype=np.int32, count=nnz)
+            weights = chain.from_iterable([nbrs.values() for nbrs in self._adj])
+            data = np.fromiter(weights, dtype=np.float64, count=nnz)
+            self._csr = csr_matrix((data, indices, indptr), shape=(self.n, self.n))
         return self._csr
 
     def neighborhood(self, v: int, radius: float) -> frozenset[int]:
@@ -192,7 +191,7 @@ def _bfs_into(
     while queue:
         u = queue.popleft()
         du = dist[u] + 1.0
-        for v, _ in adj[u]:
+        for v in adj[u]:
             if not blocked[v]:
                 blocked[v] = 1
                 dist[v] = du
@@ -214,7 +213,7 @@ def _dijkstra_into(
         d, u = heapq.heappop(heap)
         if d > dist[u]:
             continue
-        for v, w in adj[u]:
+        for v, w in adj[u].items():
             if outside is None or not outside[v]:
                 nd = d + w
                 if nd < dist[v] and nd < limit:
@@ -278,7 +277,8 @@ def region_distance_matrix(graph: WeightedGraph, region_ids: np.ndarray) -> np.n
     distances.
     """
     sub = graph.csr()[region_ids][:, region_ids]
-    return _csgraph_dijkstra(sub, directed=False, unweighted=graph.uniform_weights)
+    # the sub-matrix holds both directions of every edge
+    return _csgraph_dijkstra(sub, directed=True, unweighted=graph.uniform_weights)
 
 
 def parse_grid(text: str) -> WeightedGraph:

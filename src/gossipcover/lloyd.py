@@ -13,14 +13,16 @@ from typing import Collection, Optional, Sequence
 
 import numpy as np
 
-from .graph import WeightedGraph, is_connected, one_to_all
+from .graph import WeightedGraph
 from .partition import (
     Partition,
     PartitionError,
     PhiWeights,
+    _nearest_generator,
     adjacency_edges,
     centroid,
-    h_exp,
+    centroid_and_cost,
+    expected_cost,
     voronoi_partition,
 )
 
@@ -36,30 +38,36 @@ def gossip_lloyd_exchange(
     """Re-split the union of regions i and j by Voronoi from the old centroids.
 
     centers=(centroid_i, centroid_j) are the centroids of the two
-    current regions, as centroid gives them. Ties in union-induced
-    distance go to the lower robot index. A pair whose regions are not
-    adjacent keeps its regions (each component of the union is closer
-    to its own centroid). Returns the input object unchanged when
-    nothing moves.
+    current regions, as centroid gives them. The union is split by the
+    search voronoi_partition runs, kept inside the union: ties in
+    union-induced distance go to the lower robot index, and both sides
+    are connected. A pair whose regions are not adjacent keeps its
+    regions (each component of the union is reached only from its own
+    centroid). Returns the input object unchanged when nothing moves.
     """
     if i == j:
         raise PartitionError("exchange needs two distinct robots")
     region_i = partition.region(i)
-    region_j = partition.region(j)
-    ci, cj = centers
-    union = np.union1d(region_i, region_j)
-    di = one_to_all(graph, union, ci)[union]
-    dj = one_to_all(graph, union, cj)[union]
-    mask_i = di <= dj if i < j else di < dj
-    side_i = union[mask_i]
-    side_j = union[~mask_i]
+    union = np.union1d(region_i, partition.region(j))
+    ci, cj = (int(c) for c in centers)
+    if ci == cj or not np.isin([ci, cj], union).all():
+        raise PartitionError("Lloyd centers must be two distinct vertices of the region union")
+    owner = _nearest_generator(graph, (ci, cj) if i < j else (cj, ci), union)
+    side_i = np.flatnonzero(owner == (0 if i < j else 1))
     if np.array_equal(side_i, region_i):
         return partition
-    new_partition = partition.replace({i: side_i, j: side_j})
-    for robot, ids in ((i, side_i), (j, side_j)):
-        if not is_connected(graph, ids):
-            raise PartitionError(f"Lloyd exchange produced an invalid region for robot {robot}")
-    return new_partition
+    return partition.replace({i: side_i, j: np.flatnonzero(owner == (1 if i < j else 0))})
+
+
+def _priced_round(
+    graph: WeightedGraph, positions: Sequence[int], phi: PhiWeights
+) -> tuple[list[tuple[int, float]], Partition]:
+    """Voronoi partition of the positions, and each cell's centroid and cost."""
+    pos = [int(p) for p in positions]
+    if len(set(pos)) != len(pos):
+        raise PartitionError("positions must be distinct")
+    part = voronoi_partition(graph, pos)
+    return [centroid_and_cost(graph, part.region(k), phi) for k in range(len(pos))], part
 
 
 def decentralized_lloyd_round(
@@ -67,12 +75,8 @@ def decentralized_lloyd_round(
 ) -> tuple[list[int], Partition]:
     """One synchronous round: Voronoi partition of the positions, then each
     robot relocates to the centroid of its cell."""
-    pos = [int(p) for p in positions]
-    if len(set(pos)) != len(pos):
-        raise PartitionError("positions must be distinct")
-    part = voronoi_partition(graph, pos)
-    moved = [centroid(graph, part.region(k), phi) for k in range(len(pos))]
-    return moved, part
+    priced, part = _priced_round(graph, positions, phi)
+    return [c for c, _ in priced], part
 
 
 def decentralized_lloyd_fixed_point(
@@ -84,13 +88,14 @@ def decentralized_lloyd_fixed_point(
     """Iterate rounds until the positions stop moving.
 
     Returns the fixed positions, their Voronoi partition, and the h_exp
-    value after each round.
+    value after each round (each cell is priced once per round).
     """
     pos = [int(p) for p in positions]
     costs: list[float] = []
     for _ in range(max_rounds):
-        moved, part = decentralized_lloyd_round(graph, pos, phi)
-        costs.append(h_exp(graph, part, phi))
+        priced, part = _priced_round(graph, pos, phi)
+        costs.append(expected_cost([cost for _, cost in priced], phi))
+        moved = [c for c, _ in priced]
         if moved == pos:
             return pos, part, costs
         pos = moved

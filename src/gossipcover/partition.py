@@ -181,9 +181,12 @@ def format_partition(partition: Partition) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _center_costs(graph: WeightedGraph, ids: np.ndarray, phi: PhiWeights) -> np.ndarray:
-    """Cost of every vertex of the region with sorted ids as its center, in
-    region_distance_matrix units: the one place a region is priced.
+def _center_costs(
+    graph: WeightedGraph, ids: np.ndarray, phi: PhiWeights
+) -> tuple[np.ndarray, np.ndarray]:
+    """The region_distance_matrix of the region with sorted ids, and the
+    cost of every region vertex as its center in the same units: the one
+    place a region is priced.
 
     Raises PartitionError when the region is empty, has out-of-range
     vertices or is disconnected.
@@ -195,7 +198,7 @@ def _center_costs(graph: WeightedGraph, ids: np.ndarray, phi: PhiWeights) -> np.
     dmat = region_distance_matrix(graph, ids)
     if np.any(np.isinf(dmat)):
         raise PartitionError("region is disconnected")
-    return dmat @ phi.values[ids]
+    return dmat, dmat @ phi.values[ids]
 
 
 def h_one(graph: WeightedGraph, region: Iterable[int], h: int, phi: PhiWeights) -> float:
@@ -205,7 +208,7 @@ def h_one(graph: WeightedGraph, region: Iterable[int], h: int, phi: PhiWeights) 
     is empty, out of range or disconnected.
     """
     ids = np.asarray(sorted(set(int(v) for v in region)), dtype=np.int64)
-    costs = _center_costs(graph, ids, phi)
+    _, costs = _center_costs(graph, ids, phi)
     k = int(np.searchsorted(ids, h))
     if k == ids.size or ids[k] != h:
         raise PartitionError(f"center {h} not in region")
@@ -225,14 +228,22 @@ def centroid_and_cost(
     return best, cost * (graph.unit_weight or 1.0)
 
 
-def centroid_in_units(graph: WeightedGraph, ids: np.ndarray, phi: PhiWeights) -> tuple[int, float]:
+def price_region(
+    graph: WeightedGraph, ids: np.ndarray, phi: PhiWeights
+) -> tuple[tuple[int, float], np.ndarray]:
     """Centroid of the region with sorted vertex ids and its cost in
     region_distance_matrix units (hops on uniform graphs; meters are
-    cost * (graph.unit_weight or 1.0)).
+    cost * (graph.unit_weight or 1.0)), with the region matrix that
+    priced it.
     """
-    costs = _center_costs(graph, ids, phi)
+    dmat, costs = _center_costs(graph, ids, phi)
     best = int(np.argmin(costs))
-    return int(ids[best]), float(costs[best])
+    return (int(ids[best]), float(costs[best])), dmat
+
+
+def centroid_in_units(graph: WeightedGraph, ids: np.ndarray, phi: PhiWeights) -> tuple[int, float]:
+    """(centroid, cost) of the region with sorted vertex ids, as price_region gives them."""
+    return price_region(graph, ids, phi)[0]
 
 
 def centroid(graph: WeightedGraph, region: Iterable[int], phi: PhiWeights) -> int:
@@ -271,9 +282,8 @@ def voronoi_partition(
 ) -> Partition:
     """Partition by graph distance to generators; ties to the lowest index.
 
-    One search from all generators (hop counts on uniform graphs) settles
-    vertices in (distance, index) order, each joining the region it is
-    reached from, so regions stay connected where float path sums tie.
+    Regions stay connected where float path sums tie (see
+    _nearest_generator).
     """
     gens = [int(g) for g in generators]
     if len(gens) == 0:
@@ -283,7 +293,28 @@ def voronoi_partition(
     for g in gens:
         if not 0 <= g < graph.n:
             raise PartitionError(f"generator {g} out of range")
-    owner = np.full(graph.n, -1, dtype=np.int32)
+    return Partition(_nearest_generator(graph, gens), len(gens))
+
+
+def _nearest_generator(
+    graph: WeightedGraph, gens: Sequence[int], region: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Index of the generator each vertex joins, negative outside the region.
+
+    One search from all distinct generators, inside the induced region
+    (the whole graph when None; hop counts on uniform graphs), settles
+    vertices in (distance, index) order, each joining the generator it
+    is reached from, so every part is connected even where float path
+    sums tie.
+    """
+    # -1: not reached yet; -2: outside the region
+    if region is None:
+        owner = [-1] * graph.n
+    else:
+        owner = [-2] * graph.n
+        for v in region.tolist():
+            owner[v] = -1
+    hop = graph.uniform_weights
     heap = [(0.0, k, g) for k, g in enumerate(gens)]
     while heap:
         d, k, u = heapq.heappop(heap)
@@ -291,9 +322,9 @@ def voronoi_partition(
             continue
         owner[u] = k
         for v, w in graph.neighbors(u):
-            if owner[v] < 0:
-                heapq.heappush(heap, (d + (1.0 if graph.uniform_weights else w), k, v))
-    return Partition(owner, len(gens))
+            if owner[v] == -1:
+                heapq.heappush(heap, (d + (1.0 if hop else w), k, v))
+    return np.array(owner, dtype=np.int32)
 
 
 def adjacency_edges(graph: WeightedGraph, partition: Partition) -> frozenset[tuple[int, int]]:
@@ -339,7 +370,7 @@ def is_pairwise_optimal(
     if priced is None:
         priced = [centroid_in_units(graph, region, phi) for region in partition.regions()]
     for i, j in sorted(adjacency_edges(graph, partition).difference(done)):
-        moved, _, _ = pairwise_exchange(graph, partition, i, j, phi, priced=(priced[i], priced[j]))
+        moved = pairwise_exchange(graph, partition, i, j, phi, priced=(priced[i], priced[j]))[0]
         if moved is not partition:
             return False
     return True

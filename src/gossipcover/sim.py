@@ -11,14 +11,18 @@ current phase, then resolves at most one meeting per robot. Exchanges
 take zero simulated time; a robot whose vertex is traded away walks the
 full graph back to its territory before resuming the protocol.
 
-Each robot's record (centroid, cost, destination candidates) is
-rewritten only for the two robots of an adopted exchange; meetings and
-convergence checks read their per-region quantities from it, so the
-exchange scan takes its incumbent from the cache and builds only the
-union's distance matrix. A meeting of a pair that the rule already left
+Each robot's record (centroid, cost, region distance matrix,
+destination candidates) is rewritten only for the two robots of an
+adopted exchange, from the matrices the rule built to price the new
+regions; meetings and convergence checks read their per-region
+quantities from it, so the exchange scan takes its incumbent from the
+cache and builds only the union's distance matrix, and a trip walks
+back along the cached matrix row of the robot's vertex instead of
+searching its region. A meeting of a pair that the rule already left
 unchanged at the same regions, or whose regions share no graph edge
 (neither rule can move a vertex there), is counted but not evaluated;
-the convergence check skips the former.
+the convergence check skips the former. The in-range pair list is
+rebuilt only in steps after which some robot stands on another vertex.
 
 Everything is driven by one seeded random.Random stream, so a run is a
 pure function of (graph, partition, phi, config).
@@ -34,15 +38,15 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .exchange import ExchangeBudget, pairwise_exchange
-from .graph import WeightedGraph, _walk_back, one_to_all, shortest_path
+from .graph import UNREACHABLE, WeightedGraph, _walk_back, one_to_all
 from .lloyd import gossip_lloyd_exchange, is_gossip_lloyd_fixed_point
 from .partition import (
     Partition,
     PartitionError,
     PhiWeights,
-    centroid_in_units,
     expected_cost,
     is_pairwise_optimal,
+    price_region,
 )
 
 MOVING = "MOVING"
@@ -143,19 +147,20 @@ def destination_candidates(graph: WeightedGraph, region, mode: str) -> list[int]
     outside the region, falling back to the whole region when that open
     boundary is empty (single-robot case).
     """
-    ids = [int(v) for v in region]
-    if not ids:
+    ids = np.asarray(region if isinstance(region, np.ndarray) else list(region), dtype=np.int64)
+    if ids.size == 0:
         raise PartitionError("cannot sample a destination from an empty region")
     if mode == OPEN_BOUNDARY:
-        members = set(ids)
-        boundary = [
-            v for v in ids if any(nbr not in members for nbr, _ in graph.neighbors(v))
-        ]
-        if boundary:
-            return boundary
+        outside = np.ones(graph.n)
+        outside[ids] = 0.0
+        # edge weights are positive: a row sum over outside neighbours is
+        # positive exactly when the vertex has one
+        boundary = ids[(graph.csr() @ outside)[ids] > 0.0]
+        if boundary.size:
+            return boundary.tolist()
     elif mode != UNIFORM_REGION:
         raise ValueError(f"unknown destination mode {mode!r}")
-    return ids
+    return ids.tolist()
 
 
 def sample_destination(rng: random.Random, graph: WeightedGraph, region, mode: str) -> int:
@@ -203,8 +208,11 @@ class World:
         n_robots = self.partition.n_robots
         regions = self.partition.regions()
         # per robot, for its current region: (centroid, cost) in
-        # region_distance_matrix units, and the destination candidates
-        self._centroids = [centroid_in_units(graph, region, phi) for region in regions]
+        # region_distance_matrix units, the region_distance_matrix, and the
+        # destination candidates
+        priced, dists = zip(*(price_region(graph, region, phi) for region in regions))
+        self._centroids: list[tuple[int, float]] = list(priced)
+        self._dists: list[np.ndarray] = [_compact(graph, dmat) for dmat in dists]
         self._destinations = [
             destination_candidates(graph, region, config.destination_mode) for region in regions
         ]
@@ -217,6 +225,9 @@ class World:
         # has left the pair unchanged or the two regions were found apart;
         # an adoption drops the pairs it touches
         self._pair_state: dict[tuple[int, int], Optional[ExchangeBudget]] = {}
+        # eligible_pairs' last list and the robot vertices it was built at
+        self._pairs_at: tuple[int, ...] = ()
+        self._pairs: list[tuple[int, int]] = []
 
         if initial_positions is None:
             starts = [c for c, _ in self._centroids]
@@ -236,6 +247,15 @@ class World:
         return self._h_now
 
 
+def _compact(graph: WeightedGraph, dmat: np.ndarray) -> np.ndarray:
+    """A region matrix as the record keeps it: the hop counts of a
+    uniform-weight graph in the smallest unsigned integer type that holds
+    them (uint8 on lab-scale regions), other distances as they are."""
+    if graph.uniform_weights:
+        return dmat.astype(np.min_scalar_type(int(dmat.max())))
+    return dmat
+
+
 def _record(world: World, kind: str, i: int, j: Optional[int], motion: bool = False) -> None:
     if motion and not world.record_motion:
         return
@@ -251,8 +271,12 @@ def _choose_destination(world: World, robot: RobotState) -> None:
         robot.mode = WAITING
         robot.wait_remaining = world.config.tau
         return
+    # the cached matrix row of the robot's vertex is its one_to_all row in
+    # the region, so the walk gives the path shortest_path would
     region = world.partition.region(robot.id)
-    robot.path = shortest_path(world.graph, region, robot.current_vertex, dest)[1:]
+    dist = np.full(world.graph.n, UNREACHABLE)
+    dist[region] = world._dists[robot.id][np.searchsorted(region, robot.current_vertex)]
+    robot.path = _walk_back(world.graph, dist, robot.current_vertex, dest)[1:]
     robot.mode = MOVING
     _record(world, DEPARTURE, robot.id, None, motion=True)
 
@@ -283,15 +307,23 @@ def _advance(world: World, robot: RobotState, dt: float) -> None:
 
 
 def eligible_pairs(world: World) -> list[tuple[int, int]]:
-    """Robot pairs within strict communication range of each other."""
-    graph, r, robots = world.graph, world.config.r_comm, world.robots
-    out = []
-    for i in range(len(robots)):
-        ball = graph.neighborhood(robots[i].current_vertex, r)
-        for j in range(i + 1, len(robots)):
-            if robots[j].current_vertex in ball:
-                out.append((i, j))
-    return out
+    """Robot pairs i < j within strict communication range of each other,
+    in row-major order; range is tested from the lower-indexed robot.
+
+    The list is kept with the robot vertices it was built at and
+    rebuilt only when one of them changed; callers must not modify it.
+    """
+    at = tuple([robot.current_vertex for robot in world.robots])
+    if at != world._pairs_at:
+        graph, r = world.graph, world.config.r_comm
+        pairs = []
+        for i in range(len(at) - 1):
+            ball = graph.neighborhood(at[i], r)
+            for j in range(i + 1, len(at)):
+                if at[j] in ball:
+                    pairs.append((i, j))
+        world._pairs_at, world._pairs = at, pairs
+    return world._pairs
 
 
 def _repair_robot(world: World, robot: RobotState) -> None:
@@ -336,11 +368,12 @@ def _apply_meeting(world: World, i: int, j: int) -> None:
         if new_partition is partition:
             state = None
         else:
-            priced = tuple(centroid_in_units(graph, new_partition.region(k), phi) for k in (i, j))
+            regions = (new_partition.region(i), new_partition.region(j))
+            priced, dists = zip(*(price_region(graph, region, phi) for region in regions))
             state = budget  # a Lloyd move leaves the pair open
     else:
         positions = (world.robots[i].current_vertex, world.robots[j].current_vertex)
-        new_partition, result, priced = pairwise_exchange(
+        new_partition, result, priced, dists = pairwise_exchange(
             graph, partition, i, j, phi, budget, positions=positions, priced=priced
         )
         state = None if result.completed else result.next_budget(cap)
@@ -350,6 +383,7 @@ def _apply_meeting(world: World, i: int, j: int) -> None:
         return
     world.partition = new_partition
     world._centroids[i], world._centroids[j] = priced
+    world._dists[i], world._dists[j] = (_compact(graph, dmat) for dmat in dists)
     for k in (i, j):
         world._destinations[k] = destination_candidates(
             graph, new_partition.region(k), world.config.destination_mode

@@ -272,7 +272,7 @@ def test_assign_sides(grid2x5):
 
 def test_pairwise_exchange_identity_mapping(grid2x5, phi10, reference_splits):
     p = reference_splits["a"]
-    new_p, result, _ = pairwise_exchange(grid2x5, p, 0, 1, phi10)
+    new_p, result, _, _ = pairwise_exchange(grid2x5, p, 0, 1, phi10)
     assert result.improved
     assert new_p.region(0).tolist() == [0, 1, 2, 5, 6]
     assert new_p.region(1).tolist() == [3, 4, 7, 8, 9]
@@ -282,7 +282,7 @@ def test_pairwise_exchange_identity_mapping(grid2x5, phi10, reference_splits):
 def test_pairwise_exchange_position_matching(grid2x5, phi10, reference_splits):
     p = reference_splits["a"]
     # robot 0 sits right, robot 1 sits left: swapping sides is cheaper
-    new_p, result, _ = pairwise_exchange(grid2x5, p, 0, 1, phi10, positions=(4, 5))
+    new_p, result, _, _ = pairwise_exchange(grid2x5, p, 0, 1, phi10, positions=(4, 5))
     assert result.improved
     assert new_p.region(0).tolist() == [3, 4, 7, 8, 9]
     assert new_p.region(1).tolist() == [0, 1, 2, 5, 6]
@@ -290,14 +290,14 @@ def test_pairwise_exchange_position_matching(grid2x5, phi10, reference_splits):
 
 def test_pairwise_exchange_robot_order_irrelevant(grid2x5, phi10, reference_splits):
     p = reference_splits["a"]
-    ij, _, _ = pairwise_exchange(grid2x5, p, 0, 1, phi10, positions=(2, 7))
-    ji, _, _ = pairwise_exchange(grid2x5, p, 1, 0, phi10, positions=(7, 2))
+    ij, _, _, _ = pairwise_exchange(grid2x5, p, 0, 1, phi10, positions=(2, 7))
+    ji, _, _, _ = pairwise_exchange(grid2x5, p, 1, 0, phi10, positions=(7, 2))
     assert ij == ji
 
 
 def test_pairwise_exchange_no_change(grid2x5, phi10, reference_splits):
     p = reference_splits["c"]
-    new_p, result, _ = pairwise_exchange(grid2x5, p, 0, 1, phi10)
+    new_p, result, _, _ = pairwise_exchange(grid2x5, p, 0, 1, phi10)
     assert not result.improved
     assert new_p is p
 
@@ -331,7 +331,7 @@ def test_exchange_strictly_lowers_h_exp():
         )
         p.validate(g)
         before = h_exp(g, p, phi)
-        new_p, result, _ = pairwise_exchange(g, p, 0, 1, phi)
+        new_p, result, _, _ = pairwise_exchange(g, p, 0, 1, phi)
         after = h_exp(g, new_p, phi)
         if result.improved:
             assert after < before
@@ -353,7 +353,7 @@ def test_rule_off_lattice_strict_and_settled(rng, n, swap):
     i, j = (1, 0) if swap else (0, 1)
     before = tuple(centroid_and_cost(g, p.region(k), phi)[1] for k in (i, j))
     positions = (rng.choice(p.region(i).tolist()), rng.choice(p.region(j).tolist()))
-    new_p, _, after = pairwise_exchange(g, p, i, j, phi, positions=positions)
+    new_p, _, after, _ = pairwise_exchange(g, p, i, j, phi, positions=positions)
     if new_p is p:
         return
     assert after == tuple(centroid_in_units(g, new_p.region(k), phi) for k in (i, j))

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra
 
 from gossipcover import (
     DisconnectedEnvironmentError,
@@ -262,6 +264,35 @@ def test_region_distance_matrix(grid2x5):
 
     dmat = region_distance_matrix(grid2x5, np.array([0, 9]))
     assert math.isinf(dmat[0][1])
+
+
+@settings(max_examples=150, deadline=None)
+@given(rng=st.randoms(use_true_random=False), n=st.integers(2, 12), uniform=st.booleans())
+def test_region_distance_matrix_bit_equal_to_undirected_search(rng, n, uniform):
+    n, edges = random_off_lattice_graph(rng, n)
+    if uniform:
+        edges = [(u, v, 0.6) for u, v, _ in edges]
+    g = WeightedGraph(n, edges)
+    # the adjacency matrix holds both directions of every edge
+    adjacency = g.csr()
+    assert adjacency.nnz == 2 * len(edges)
+    assert all(adjacency[u, v] == adjacency[v, u] == w for u, v, w in edges)
+    region = np.array(sorted(rng.sample(range(n), rng.randint(1, n))))
+    dmat = region_distance_matrix(g, region)
+    tails, heads, weights = zip(*edges)
+    upper = csr_matrix((weights, (tails, heads)), shape=(n, n))
+    undirected = dijkstra(upper[region][:, region], directed=False, unweighted=g.uniform_weights)
+    assert dmat.dtype == undirected.dtype and np.array_equal(dmat, undirected)
+    for k, src in enumerate(region.tolist()):
+        assert dmat[k].tolist() == one_to_all(g, region, src)[region].tolist()
+
+
+def test_edge_weight_lookup():
+    g = parse_edge_list("3\n0 1 1.5\n2 1 0.25\n")
+    assert g.edge_weight(0, 1) == g.edge_weight(1, 0) == 1.5
+    assert g.edge_weight(1, 2) == g.edge_weight(2, 1) == 0.25
+    with pytest.raises(KeyError, match="no edge between 0 and 2"):
+        g.edge_weight(0, 2)
 
 
 # ---- shortest paths ----

@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+import gossipcover.partition as partition_module
 from conftest import partition_from_regions
 from gossipcover import (
     PartitionError,
@@ -17,9 +18,12 @@ from gossipcover import (
     is_centroidal_voronoi,
     is_gossip_lloyd_fixed_point,
     is_pairwise_optimal,
+    load_environment,
     parse_grid,
+    random_start,
     voronoi_partition,
 )
+from gossipcover.cli import resolve_environment
 from util_oracle import random_connected_graph
 
 PATH4 = parse_grid("....\n")
@@ -156,3 +160,45 @@ def test_gossip_lloyd_keeps_suboptimal_fixed_points(grid2x5, phi10, reference_sp
     part = reference_splits["a"]
     assert is_gossip_lloyd_fixed_point(grid2x5, part, phi10)
     assert not is_pairwise_optimal(grid2x5, part, phi10)
+
+
+def test_exchange_off_lattice_tie_keeps_sides_connected():
+    # vertex 1 is 0.05 from centroid 0 but 0.05000000000000001 from
+    # centroid 4, while both reach vertex 2 at 1.05: comparing the two
+    # union distance rows gave robot 0 the cut-off side {2, 3, 4}
+    g = WeightedGraph(
+        5, [(0, 1, 0.05), (1, 2, 1.0), (0, 3, 1.0), (1, 4, 0.05000000000000001), (3, 4, 1.0)]
+    )
+    phi = PhiWeights([10, 1, 1, 1, 2])
+    part = partition_from_regions(5, [[3, 4], [0, 1, 2]])
+    assert gossip_lloyd_exchange(g, part, 0, 1, phi, (4, 0)) is part
+    assert gossip_lloyd_exchange(g, part, 1, 0, phi, (0, 4)) is part
+    assert is_gossip_lloyd_fixed_point(g, part, phi)
+
+
+def test_exchange_rejects_centers_outside_union():
+    part = partition_from_regions(5, [[0, 1], [2], [3, 4]])
+    with pytest.raises(PartitionError):
+        gossip_lloyd_exchange(PATH5, part, 0, 1, uniform(5), (0, 3))
+    with pytest.raises(PartitionError):
+        gossip_lloyd_exchange(PATH5, part, 0, 1, uniform(5), (2, 2))
+
+
+def test_fixed_point_prices_each_cell_once(monkeypatch):
+    built = []
+    original = partition_module.region_distance_matrix
+
+    def counted(graph, region_ids):
+        built.append(len(region_ids))
+        return original(graph, region_ids)
+
+    monkeypatch.setattr(partition_module, "region_distance_matrix", counted)
+    graph = load_environment(resolve_environment("lab-like"))
+    phi = uniform(graph.n)
+    starts, _ = random_start(graph, 9, 0)
+    _, part, costs = decentralized_lloyd_fixed_point(graph, starts, phi)
+    # 21 rounds of 9 cells, one region matrix per cell
+    assert len(costs) == 21
+    assert len(built) == 21 * 9
+    monkeypatch.undo()
+    assert costs[-1] == h_exp(graph, part, phi)

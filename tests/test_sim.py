@@ -37,6 +37,7 @@ from gossipcover import (
     step,
     voronoi_partition,
 )
+from gossipcover.graph import region_distance_matrix, shortest_path
 from gossipcover.partition import centroid_in_units
 from gossipcover.sim import (
     MEETING_NOCHANGE,
@@ -436,6 +437,69 @@ def test_world_cache_matches_regions_after_every_step(rng, n, algorithm, budget,
         assert sim._settled(world) == bare
         costs = np.array([cost for _, cost in meters])
         assert world.current_cost() == float(costs.sum() / phi.total)
+
+
+def pairs_without_memo(world):
+    at = [robot.current_vertex for robot in world.robots]
+    balls = [world.graph.neighborhood(v, world.config.r_comm) for v in at]
+    return [(i, j) for i in range(len(at)) for j in range(i + 1, len(at)) if at[j] in balls[i]]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rng=st.randoms(use_true_random=False),
+    n=st.integers(3, 10),
+    algorithm=st.sampled_from([GOSSIP_COVERAGE, GOSSIP_LLOYD]),
+    mode=st.sampled_from([UNIFORM_REGION, OPEN_BOUNDARY]),
+    uniform=st.booleans(),
+)
+def test_step_caches_match_fresh_searches(rng, n, algorithm, mode, uniform):
+    n, edges = random_off_lattice_graph(rng, n)
+    if uniform:
+        # hop-count matrices, which the record keeps as small integers
+        edges = [(u, v, 0.6) for u, v, _ in edges]
+    g = WeightedGraph(n, edges)
+    phi = PhiWeights([off_lattice(rng) for _ in range(n)])
+    _, part = random_start(g, 3, rng.randrange(1000))
+    config = fig2a_config(
+        r_comm=g.max_edge_weight + rng.uniform(0.01, 3.0),
+        seed=rng.randrange(1000),
+        destination_mode=mode,
+    )
+    world = World(g, part, phi, config, algorithm=algorithm, record_motion=False)
+    trips = []
+    choose = sim._choose_destination
+
+    def recorded(world, robot):
+        start = robot.current_vertex
+        choose(world, robot)
+        if robot.mode == MOVING:
+            trips.append((start, [start] + robot.path, world.partition.region(robot.id)))
+
+    sim._choose_destination = recorded
+    try:
+        for _ in range(60):
+            step(world)
+            assert eligible_pairs(world) == pairs_without_memo(world)
+            for dmat, region in zip(world._dists, world.partition.regions()):
+                assert np.array_equal(dmat, region_distance_matrix(g, region))
+            for start, path, region in trips:
+                assert path == shortest_path(g, region, start, path[-1])
+            trips.clear()
+    finally:
+        sim._choose_destination = choose
+
+
+@settings(max_examples=60, deadline=None)
+@given(rng=st.randoms(use_true_random=False), n=st.integers(1, 12), k=st.integers(1, 12))
+def test_boundary_candidates_are_region_vertices_with_an_outside_neighbour(rng, n, k):
+    n, edges = random_off_lattice_graph(rng, n) if n > 1 else (1, [])
+    g = WeightedGraph(n, edges)
+    region = rng.sample(range(n), min(k, n))  # any order: the result keeps it
+    members = set(region)
+    boundary = [v for v in region if any(u not in members for u, _ in g.neighbors(v))]
+    assert destination_candidates(g, region, OPEN_BOUNDARY) == (boundary or region)
+    assert destination_candidates(g, np.array(region), UNIFORM_REGION) == region
 
 
 @pytest.mark.parametrize(
