@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from importlib import resources
 from typing import Callable, Optional, Sequence, TextIO
 
 from .campaign import (
@@ -35,6 +34,7 @@ from .graph import (
     WeightedGraph,
     format_edge_list,
     load_environment,
+    resolve_environment,
 )
 from .partition import (
     Partition,
@@ -59,17 +59,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"error: {message}", file=sys.stderr)
         raise SystemExit(1)
-
-
-def resolve_environment(name: str) -> str:
-    """Return a readable path for a file path or bundled map name."""
-    if os.path.exists(name):
-        return name
-    base = name if name.endswith(".grid") else name + ".grid"
-    bundled = resources.files("gossipcover") / "maps" / base
-    if bundled.is_file():
-        return str(bundled)
-    raise FileNotFoundError(f"no such environment: {name}")
 
 
 def _read_config(path: str) -> dict[str, str]:
@@ -147,7 +136,7 @@ def _write_round_trace(costs: list[float], fp: TextIO) -> None:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     opts = _Options(args)
-    graph = load_environment(resolve_environment(args.environment))
+    graph = load_environment(args.environment)
     phi = load_phi(graph, opts.get("phi", str, None))
     positions, partition = _start_condition(graph, opts)
     algorithm = opts.get("algorithm", str, GOSSIP_COVERAGE)
@@ -218,7 +207,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    graph = load_environment(resolve_environment(args.environment))
+    graph = load_environment(args.environment)
     phi = load_phi(graph, args.phi)
     try:
         partition = load_partition(graph, args.partition)
@@ -236,7 +225,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_cost(args: argparse.Namespace) -> int:
-    graph = load_environment(resolve_environment(args.environment))
+    graph = load_environment(args.environment)
     phi = load_phi(graph, args.phi)
     partition = load_partition(graph, args.partition)
     print(repr(h_exp(graph, partition, phi)))
@@ -244,7 +233,7 @@ def _cmd_cost(args: argparse.Namespace) -> int:
 
 
 def _cmd_grid2graph(args: argparse.Namespace) -> int:
-    graph = load_environment(resolve_environment(args.environment))
+    graph = load_environment(args.environment)
     if args.info:
         weights = sorted({w for _, _, w in graph.edges()})
         print(f"vertices={graph.n}")

@@ -15,12 +15,13 @@ terms may sum them in another order and differ in the last bit off the
 0.25 weight lattice, which would change which later candidates win.
 
 The incumbent starts as the two input regions priced at their own
-centroids with region-induced distances; a caller that holds those
-prices (the simulator keeps them per robot) passes them as priced=,
-and the scan builds only the union's distance matrix. Because every
-vertex's shortest path to its winning center stays inside the winning
-side, both sides of any candidate split are connected and the
-candidate price equals sum_k min(d_U(a,k), d_U(b,k)) * phi(k).
+centroids with region-induced distances. Pricing a region is also what
+checks it (see partition.price_region); a caller that holds the two
+regions' Territories (the simulator keeps one per robot) passes them
+as priced=, and the scan builds only the union's distance matrix.
+Because every vertex's shortest path to its winning center stays inside
+the winning side, both sides of any candidate split are connected and
+the candidate price equals sum_k min(d_U(a,k), d_U(b,k)) * phi(k).
 
 The scan's improved flag compares candidates against the incumbent in
 scan order; the strict centroid-cost test that decides whether a split
@@ -35,8 +36,8 @@ from typing import Optional
 
 import numpy as np
 
-from .graph import WeightedGraph, is_connected, one_to_all, region_distance_matrix
-from .partition import Partition, PartitionError, PhiWeights, centroid_in_units, price_region
+from .graph import WeightedGraph, one_to_all, region_distance_matrix
+from .partition import Partition, PartitionError, PhiWeights, Territory, price_region
 
 
 @dataclass(frozen=True)
@@ -92,37 +93,30 @@ class ExchangeResult:
         )
 
 
-def _clean_region(graph: WeightedGraph, region, label: str) -> np.ndarray:
-    arr = region if isinstance(region, np.ndarray) else np.asarray(list(region))
-    ids = np.unique(arr.astype(np.int64)) if arr.size else np.empty(0, dtype=np.int64)
-    if ids.size == 0:
-        raise PartitionError(f"{label} region is empty")
-    if ids[0] < 0 or ids[-1] >= graph.n:
-        raise PartitionError(f"{label} region has out-of-range vertices")
-    if not is_connected(graph, ids):
-        raise PartitionError(f"{label} region is disconnected")
-    return ids
-
-
 def optimal_two_partition(
     graph: WeightedGraph,
     region_a,
     region_b,
     phi: PhiWeights,
     budget: Optional[ExchangeBudget] = None,
-    priced: Optional[tuple[tuple[int, float], tuple[int, float]]] = None,
+    priced: Optional[tuple[Territory, Territory]] = None,
 ) -> ExchangeResult:
     """Anytime search for the cheapest two-center split of a region union.
 
-    priced=((centroid_a, cost_a), (centroid_b, cost_b)) are the two
-    regions' centroids and costs as centroid_in_units gives them; a scan
-    without resume_centers starts from that incumbent (priced here when
-    None).
+    priced=(territory_a, territory_b) are the Territories of region_a and
+    region_b, whose ids the scan reads; a scan without resume_centers
+    starts from their centroids and costs. When None, the regions (any
+    iterables of vertex ids) are priced here, which raises PartitionError
+    on an empty, out-of-range or disconnected one.
     """
     if budget is None:
         budget = ExchangeBudget()
-    a_ids = _clean_region(graph, region_a, "first")
-    b_ids = _clean_region(graph, region_b, "second")
+    if priced is None:
+        priced = tuple(
+            price_region(graph, np.unique(np.fromiter(region, dtype=np.int64)), phi)
+            for region in (region_a, region_b)
+        )
+    a_ids, b_ids = priced[0].ids, priced[1].ids
     if np.intersect1d(a_ids, b_ids).size:
         raise PartitionError("regions overlap")
 
@@ -137,10 +131,8 @@ def optimal_two_partition(
     local = {int(v): k for k, v in enumerate(union)}
 
     if budget.resume_centers is None:
-        if priced is None:
-            priced = (centroid_in_units(graph, a_ids, phi), centroid_in_units(graph, b_ids, phi))
-        (ca, cost_a), (cb, cost_b) = priced
-        incumbent_cost = cost_a + cost_b
+        ca, cb = priced[0].centroid, priced[1].centroid
+        incumbent_cost = priced[0].cost + priced[1].cost
         dirty = False
     else:
         ca, cb = int(budget.resume_centers[0]), int(budget.resume_centers[1])
@@ -219,53 +211,46 @@ def pairwise_exchange(
     phi: PhiWeights,
     budget: Optional[ExchangeBudget] = None,
     positions: Optional[tuple[int, int]] = None,
-    priced: Optional[tuple] = None,
-) -> tuple[Partition, ExchangeResult, tuple, Optional[tuple[np.ndarray, np.ndarray]]]:
+    priced: Optional[tuple[Territory, Territory]] = None,
+) -> tuple[Partition, ExchangeResult, tuple[Territory, Territory]]:
     """Apply the pairwise partitioning rule to robots i and j.
 
-    priced=((centroid_i, cost_i), (centroid_j, cost_j)) are the current
-    regions' prices as centroid_in_units gives them (priced here when
-    None); the scan starts from them, with the lower-indexed robot's
-    region as its a-side. When the scan improves on the current regions,
-    both sides are priced with price_region, and the split is adopted
-    only if their cost sum in meters (cost * (graph.unit_weight or 1.0),
-    the floats centroid_and_cost gives) is strictly below that of the
-    current regions. Pricing a side also guards it: it raises
-    PartitionError on an empty or disconnected region. The adopted sides
-    are matched to the robots by travel distance when
-    positions=(pos_i, pos_j) is given, identity otherwise.
+    priced=(territory_i, territory_j) are the Territories of the robots'
+    current regions (priced here when None); the scan reads the regions
+    from them and starts from their prices, with the lower-indexed
+    robot's region as its a-side. When the scan improves on the current
+    regions, both sides are priced with price_region, and the split is
+    adopted only if their cost sum in meters (cost * (graph.unit_weight
+    or 1.0), the floats centroid_and_cost gives) is strictly below that
+    of the current regions. The adopted sides are matched to the robots
+    by travel distance when positions=(pos_i, pos_j) is given, identity
+    otherwise.
 
-    Returns the new partition, the scan result, the (centroid, cost)
-    pairs of robots i and j afterwards, and the region_distance_matrix
-    of each of their new regions, the one that priced it. When nothing
-    moves, the input partition object comes back with the current pairs
-    and no matrices.
+    Returns the new partition, the scan result, and the Territories of
+    robots i and j afterwards. When nothing moves, the input partition
+    object comes back with the input Territories.
     """
     if i == j:
         raise PartitionError("exchange needs two distinct robots")
     lo, hi = (i, j) if i < j else (j, i)
     if priced is None:
-        priced = tuple(centroid_in_units(graph, partition.region(k), phi) for k in (i, j))
-    scan_priced = priced if i == lo else priced[::-1]
-    result = optimal_two_partition(
-        graph, partition.region(lo), partition.region(hi), phi, budget, scan_priced
-    )
+        priced = tuple(price_region(graph, partition.region(k), phi) for k in (i, j))
+    ta, tb = priced if i == lo else priced[::-1]
+    result = optimal_two_partition(graph, ta.ids, tb.ids, phi, budget, (ta, tb))
     if not result.improved:
-        return partition, result, priced, None
+        return partition, result, priced
 
-    priced_a, dmat_a = price_region(graph, result.side_a, phi)
-    priced_b, dmat_b = price_region(graph, result.side_b, phi)
+    sides = [price_region(graph, result.side_a, phi), price_region(graph, result.side_b, phi)]
     unit = graph.unit_weight or 1.0
-    if not priced_a[1] * unit + priced_b[1] * unit < priced[0][1] * unit + priced[1][1] * unit:
-        return partition, result, priced, None
+    new_cost = sides[0].cost * unit + sides[1].cost * unit
+    if not new_cost < priced[0].cost * unit + priced[1].cost * unit:
+        return partition, result, priced
 
-    sides = [(result.side_a, priced_a, dmat_a), (result.side_b, priced_b, dmat_b)]
     if positions is not None:
         pos = dict(zip((i, j), positions))
         if not assign_sides(graph, result.center_a, result.center_b, pos[lo], pos[hi]):
             sides.reverse()
     if i != lo:
         sides.reverse()
-    (side_i, priced_i, dmat_i), (side_j, priced_j, dmat_j) = sides
-    new_partition = partition.replace({i: side_i, j: side_j})
-    return new_partition, result, (priced_i, priced_j), (dmat_i, dmat_j)
+    ti, tj = sides
+    return partition.replace({i: ti.ids, j: tj.ids}), result, (ti, tj)

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import heapq
 import math
+import os
 from collections import deque
+from importlib import resources
 from itertools import chain
 from typing import Iterable, Iterator, ItemsView, Optional, Sequence
 
@@ -382,14 +384,27 @@ def format_edge_list(graph: WeightedGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def resolve_environment(name: str) -> str:
+    """Return a readable path for a file path or bundled map name
+    (for example `lab-like` or `lab-like.grid`)."""
+    if os.path.exists(name):
+        return name
+    base = name if name.endswith(".grid") else name + ".grid"
+    bundled = resources.files(__package__) / "maps" / base
+    if bundled.is_file():
+        return str(bundled)
+    raise FileNotFoundError(f"no such environment: {name}")
+
+
 def load_environment(path: str) -> WeightedGraph:
     """Load a grid or edge-list environment, picking the format by content.
 
-    A file whose first significant line is made of '.'/'#' cells (or a
+    path is a file path or bundled map name (see resolve_environment). A
+    file whose first significant line is made of '.'/'#' cells (or a
     resolution header) parses as a grid; anything else parses as an
     edge list.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(resolve_environment(path), "r", encoding="utf-8") as fh:
         text = fh.read()
     for raw in text.splitlines():
         line = raw.strip()

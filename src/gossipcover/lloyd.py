@@ -18,11 +18,12 @@ from .partition import (
     Partition,
     PartitionError,
     PhiWeights,
+    Territory,
     _nearest_generator,
     adjacency_edges,
-    centroid,
     centroid_and_cost,
     expected_cost,
+    price_region,
     voronoi_partition,
 )
 
@@ -106,19 +107,20 @@ def is_gossip_lloyd_fixed_point(
     graph: WeightedGraph,
     partition: Partition,
     phi: PhiWeights,
-    centers: Optional[Sequence[int]] = None,
+    priced: Optional[Sequence[Territory]] = None,
     done: Collection[tuple[int, int]] = (),
 ) -> bool:
     """True when no adjacent pair's Lloyd exchange would move any vertex.
 
-    centers[k] is robot k's region centroid (computed here when None);
-    pairs (i, j), i < j, in done are known to be left unchanged by the
-    exchange at these regions and are not asked.
+    priced[k] is the Territory of robot k's region, whose centroid seeds
+    the exchange (priced here when None); pairs (i, j), i < j, in done are
+    known to be left unchanged by the exchange at these regions and are
+    not asked.
     """
-    if centers is None:
-        centers = [centroid(graph, region, phi) for region in partition.regions()]
+    if priced is None:
+        priced = [price_region(graph, region, phi) for region in partition.regions()]
     for i, j in sorted(adjacency_edges(graph, partition).difference(done)):
-        moved = gossip_lloyd_exchange(graph, partition, i, j, phi, (centers[i], centers[j]))
-        if moved is not partition:
+        centers = (priced[i].centroid, priced[j].centroid)
+        if gossip_lloyd_exchange(graph, partition, i, j, phi, centers) is not partition:
             return False
     return True

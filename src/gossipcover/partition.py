@@ -14,6 +14,7 @@ comparisons are exact.
 from __future__ import annotations
 
 import heapq
+from dataclasses import dataclass
 from typing import Collection, Iterable, Optional, Sequence
 
 import numpy as np
@@ -55,7 +56,8 @@ class PhiWeights:
 
 
 def parse_phi(text: str, n: int) -> PhiWeights:
-    """Parse `vertex_id phi_value` lines; unlisted vertices default to 1."""
+    """Parse `vertex_id phi_value` lines; unlisted vertices default to 1,
+    and a vertex listed twice is an error."""
     mapping: dict[int, float] = {}
     for idx, raw in enumerate(text.splitlines()):
         line = raw.strip()
@@ -64,7 +66,10 @@ def parse_phi(text: str, n: int) -> PhiWeights:
         parts = line.split()
         if len(parts) != 2:
             raise ValueError(f"phi line {idx + 1}: expected 'vertex value', got {line!r}")
-        mapping[int(parts[0])] = float(parts[1])
+        v = int(parts[0])
+        if v in mapping:
+            raise ValueError(f"phi line {idx + 1}: vertex {v} listed twice")
+        mapping[v] = float(parts[1])
     return PhiWeights.from_mapping(n, mapping)
 
 
@@ -215,35 +220,45 @@ def h_one(graph: WeightedGraph, region: Iterable[int], h: int, phi: PhiWeights) 
     return float(costs[k]) * (graph.unit_weight or 1.0)
 
 
-def centroid_and_cost(
-    graph: WeightedGraph, region: Iterable[int], phi: PhiWeights
-) -> tuple[int, float]:
-    """Generalized centroid of a region and its h_one cost.
+@dataclass(frozen=True, eq=False)
+class Territory:
+    """A checked, priced region, as price_region gives it.
 
-    The centroid is the region vertex minimizing h_one; ties go to the
-    lowest vertex id.
+    ids are the region's sorted vertex ids, centroid its generalized
+    centroid and cost the centroid's cost in region_distance_matrix units
+    (hops on uniform graphs; meters are cost * (graph.unit_weight or
+    1.0)); dists is the region matrix that priced it, with the hop counts
+    of a uniform-weight graph in the smallest unsigned integer type that
+    holds them (uint8 on lab-scale regions).
     """
-    ids = np.asarray(sorted(set(int(v) for v in region)), dtype=np.int64)
-    best, cost = centroid_in_units(graph, ids, phi)
-    return best, cost * (graph.unit_weight or 1.0)
+
+    ids: np.ndarray
+    centroid: int
+    cost: float
+    dists: np.ndarray
 
 
-def price_region(
-    graph: WeightedGraph, ids: np.ndarray, phi: PhiWeights
-) -> tuple[tuple[int, float], np.ndarray]:
-    """Centroid of the region with sorted vertex ids and its cost in
-    region_distance_matrix units (hops on uniform graphs; meters are
-    cost * (graph.unit_weight or 1.0)), with the region matrix that
-    priced it.
+def price_region(graph: WeightedGraph, ids: np.ndarray, phi: PhiWeights) -> Territory:
+    """The Territory of the region with sorted vertex ids: the only place
+    one is made, so every Territory is nonempty, in range and connected.
+
+    Raises PartitionError otherwise. The centroid is the region vertex
+    minimizing h_one; ties go to the lowest vertex id.
     """
     dmat, costs = _center_costs(graph, ids, phi)
     best = int(np.argmin(costs))
-    return (int(ids[best]), float(costs[best])), dmat
+    if graph.uniform_weights:
+        dmat = dmat.astype(np.min_scalar_type(int(dmat.max())))
+    return Territory(ids, int(ids[best]), float(costs[best]), dmat)
 
 
-def centroid_in_units(graph: WeightedGraph, ids: np.ndarray, phi: PhiWeights) -> tuple[int, float]:
-    """(centroid, cost) of the region with sorted vertex ids, as price_region gives them."""
-    return price_region(graph, ids, phi)[0]
+def centroid_and_cost(
+    graph: WeightedGraph, region: Iterable[int], phi: PhiWeights
+) -> tuple[int, float]:
+    """Generalized centroid of a region and its h_one cost."""
+    ids = np.asarray(sorted(set(int(v) for v in region)), dtype=np.int64)
+    territory = price_region(graph, ids, phi)
+    return territory.centroid, territory.cost * (graph.unit_weight or 1.0)
 
 
 def centroid(graph: WeightedGraph, region: Iterable[int], phi: PhiWeights) -> int:
@@ -356,19 +371,19 @@ def is_pairwise_optimal(
     graph: WeightedGraph,
     partition: Partition,
     phi: PhiWeights,
-    priced: Optional[Sequence[tuple[int, float]]] = None,
+    priced: Optional[Sequence[Territory]] = None,
     done: Collection[tuple[int, int]] = (),
 ) -> bool:
     """True when the pairwise exchange rule changes no adjacent pair.
 
-    priced[k] is robot k's (centroid, cost) as centroid_in_units gives
-    it (priced here when None); pairs (i, j), i < j, in done are known to
-    be left unchanged by the rule at these regions and are not asked.
+    priced[k] is the Territory of robot k's region (priced here when
+    None); pairs (i, j), i < j, in done are known to be left unchanged by
+    the rule at these regions and are not asked.
     """
     from .exchange import pairwise_exchange
 
     if priced is None:
-        priced = [centroid_in_units(graph, region, phi) for region in partition.regions()]
+        priced = [price_region(graph, region, phi) for region in partition.regions()]
     for i, j in sorted(adjacency_edges(graph, partition).difference(done)):
         moved = pairwise_exchange(graph, partition, i, j, phi, priced=(priced[i], priced[j]))[0]
         if moved is not partition:

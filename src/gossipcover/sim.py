@@ -11,17 +11,18 @@ current phase, then resolves at most one meeting per robot. Exchanges
 take zero simulated time; a robot whose vertex is traded away walks the
 full graph back to its territory before resuming the protocol.
 
-Each robot's record (centroid, cost, region distance matrix,
-destination candidates) is rewritten only for the two robots of an
-adopted exchange, from the matrices the rule built to price the new
-regions; meetings and convergence checks read their per-region
-quantities from it, so the exchange scan takes its incumbent from the
-cache and builds only the union's distance matrix, and a trip walks
-back along the cached matrix row of the robot's vertex instead of
-searching its region. A meeting of a pair that the rule already left
-unchanged at the same regions, or whose regions share no graph edge
-(neither rule can move a vertex there), is counted but not evaluated;
-the convergence check skips the former. The in-range pair list is
+Each robot's record is its region's Territory (sorted ids, centroid,
+cost, and the region distance matrix that priced it) plus its
+destination candidates. One helper writes it, at the start and for the
+two robots of an adopted exchange, from the Territories the rule built
+to price the new regions. Meetings, convergence checks, trips and
+repairs read their regions from it: the exchange scan takes its
+incumbent from the cache and builds only the union's distance matrix,
+and a trip walks back along the cached matrix row of the robot's
+vertex instead of searching its region. A meeting of a pair that the
+rule already left unchanged at the same regions, or whose regions share
+no graph edge (neither rule can move a vertex there), is counted but
+not evaluated; the convergence check skips the former. The in-range pair list is
 rebuilt only in steps after which some robot stands on another vertex.
 
 Everything is driven by one seeded random.Random stream, so a run is a
@@ -44,6 +45,7 @@ from .partition import (
     Partition,
     PartitionError,
     PhiWeights,
+    Territory,
     expected_cost,
     is_pairwise_optimal,
     price_region,
@@ -206,21 +208,14 @@ class World:
         self._fire_prob = 1.0 - math.exp(-config.lambda_comm * config.dt)
 
         n_robots = self.partition.n_robots
+        # per robot: the Territory of its current region and its
+        # destination candidates, written only by _write_record
+        self._territories: list[Optional[Territory]] = [None] * n_robots
+        self._destinations: list[list[int]] = [[]] * n_robots
         regions = self.partition.regions()
-        # per robot, for its current region: (centroid, cost) in
-        # region_distance_matrix units, the region_distance_matrix, and the
-        # destination candidates
-        priced, dists = zip(*(price_region(graph, region, phi) for region in regions))
-        self._centroids: list[tuple[int, float]] = list(priced)
-        self._dists: list[np.ndarray] = [_compact(graph, dmat) for dmat in dists]
-        self._destinations = [
-            destination_candidates(graph, region, config.destination_mode) for region in regions
-        ]
+        _write_record(self, range(n_robots), [price_region(graph, r, phi) for r in regions])
         edges = [(u, v) for u, v, _ in graph.edges()]
         self._edge_ends = np.array(edges, dtype=np.int64).reshape(-1, 2).T
-        # meters per robot are the floats centroid_and_cost gives
-        unit = graph.unit_weight or 1.0
-        self._h_now = expected_cost([cost * unit for _, cost in self._centroids], phi)
         # (i, j) -> budget resuming the pair's scan, or None once the rule
         # has left the pair unchanged or the two regions were found apart;
         # an adoption drops the pairs it touches
@@ -230,7 +225,7 @@ class World:
         self._pairs: list[tuple[int, int]] = []
 
         if initial_positions is None:
-            starts = [c for c, _ in self._centroids]
+            starts = [territory.centroid for territory in self._territories]
         else:
             starts = [int(p) for p in initial_positions]
             if len(starts) != n_robots:
@@ -247,13 +242,17 @@ class World:
         return self._h_now
 
 
-def _compact(graph: WeightedGraph, dmat: np.ndarray) -> np.ndarray:
-    """A region matrix as the record keeps it: the hop counts of a
-    uniform-weight graph in the smallest unsigned integer type that holds
-    them (uint8 on lab-scale regions), other distances as they are."""
-    if graph.uniform_weights:
-        return dmat.astype(np.min_scalar_type(int(dmat.max())))
-    return dmat
+def _write_record(world: World, robots: Sequence[int], territories: Sequence[Territory]) -> None:
+    """Give each robot its Territory and destination candidates, then
+    re-sum the expected cost: the one writer of the per-robot record."""
+    for k, territory in zip(robots, territories):
+        world._territories[k] = territory
+        world._destinations[k] = destination_candidates(
+            world.graph, territory.ids, world.config.destination_mode
+        )
+    # meters per robot are the floats centroid_and_cost gives
+    unit = world.graph.unit_weight or 1.0
+    world._h_now = expected_cost([t.cost * unit for t in world._territories], world.phi)
 
 
 def _record(world: World, kind: str, i: int, j: Optional[int], motion: bool = False) -> None:
@@ -273,9 +272,9 @@ def _choose_destination(world: World, robot: RobotState) -> None:
         return
     # the cached matrix row of the robot's vertex is its one_to_all row in
     # the region, so the walk gives the path shortest_path would
-    region = world.partition.region(robot.id)
+    territory = world._territories[robot.id]
     dist = np.full(world.graph.n, UNREACHABLE)
-    dist[region] = world._dists[robot.id][np.searchsorted(region, robot.current_vertex)]
+    dist[territory.ids] = territory.dists[np.searchsorted(territory.ids, robot.current_vertex)]
     robot.path = _walk_back(world.graph, dist, robot.current_vertex, dest)[1:]
     robot.mode = MOVING
     _record(world, DEPARTURE, robot.id, None, motion=True)
@@ -328,8 +327,8 @@ def eligible_pairs(world: World) -> list[tuple[int, int]]:
 
 def _repair_robot(world: World, robot: RobotState) -> None:
     """Restore protocol invariants for a robot after its region changed."""
-    region = world.partition.region(robot.id)
-    members = set(int(v) for v in region)
+    region = world._territories[robot.id].ids
+    members = set(region.tolist())
     if robot.current_vertex not in members:
         dist = one_to_all(world.graph, None, robot.current_vertex)
         target = int(region[np.argmin(dist[region])])
@@ -361,19 +360,18 @@ def _apply_meeting(world: World, i: int, j: int) -> None:
         _record(world, MEETING_NOCHANGE, i, j)
         return
     graph, partition, phi = world.graph, world.partition, world.phi
-    priced = (world._centroids[i], world._centroids[j])
+    priced = (world._territories[i], world._territories[j])
     if world.algorithm == GOSSIP_LLOYD:
-        centers = (priced[0][0], priced[1][0])
+        centers = (priced[0].centroid, priced[1].centroid)
         new_partition = gossip_lloyd_exchange(graph, partition, i, j, phi, centers)
         if new_partition is partition:
             state = None
         else:
-            regions = (new_partition.region(i), new_partition.region(j))
-            priced, dists = zip(*(price_region(graph, region, phi) for region in regions))
+            priced = [price_region(graph, new_partition.region(k), phi) for k in (i, j)]
             state = budget  # a Lloyd move leaves the pair open
     else:
         positions = (world.robots[i].current_vertex, world.robots[j].current_vertex)
-        new_partition, result, priced, dists = pairwise_exchange(
+        new_partition, result, priced = pairwise_exchange(
             graph, partition, i, j, phi, budget, positions=positions, priced=priced
         )
         state = None if result.completed else result.next_budget(cap)
@@ -382,14 +380,7 @@ def _apply_meeting(world: World, i: int, j: int) -> None:
         _record(world, MEETING_NOCHANGE, i, j)
         return
     world.partition = new_partition
-    world._centroids[i], world._centroids[j] = priced
-    world._dists[i], world._dists[j] = (_compact(graph, dmat) for dmat in dists)
-    for k in (i, j):
-        world._destinations[k] = destination_candidates(
-            graph, new_partition.region(k), world.config.destination_mode
-        )
-    unit = graph.unit_weight or 1.0
-    world._h_now = expected_cost([cost * unit for _, cost in world._centroids], phi)
+    _write_record(world, (i, j), priced)
     world._pair_state = {
         pair: kept for pair, kept in world._pair_state.items() if i not in pair and j not in pair
     }
@@ -431,14 +422,11 @@ def step(world: World) -> World:
 
 
 def _settled(world: World) -> bool:
-    """The algorithm's fixed-point predicate, from the cached centroids and
-    without asking the pairs the rule already left unchanged."""
+    """The algorithm's fixed-point predicate, from the cached Territories
+    and without asking the pairs the rule already left unchanged."""
     done = {pair for pair, state in world._pair_state.items() if state is None}
-    graph, partition, phi = world.graph, world.partition, world.phi
-    if world.algorithm == GOSSIP_LLOYD:
-        centers = [c for c, _ in world._centroids]
-        return is_gossip_lloyd_fixed_point(graph, partition, phi, centers, done)
-    return is_pairwise_optimal(graph, partition, phi, world._centroids, done)
+    fixed = is_gossip_lloyd_fixed_point if world.algorithm == GOSSIP_LLOYD else is_pairwise_optimal
+    return fixed(world.graph, world.partition, world.phi, world._territories, done)
 
 
 def run(

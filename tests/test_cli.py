@@ -9,7 +9,7 @@ from gossipcover import (
     main,
     parse_partition,
 )
-from gossipcover.cli import resolve_environment
+from gossipcover.graph import resolve_environment
 
 
 @pytest.fixture
@@ -72,8 +72,11 @@ def test_missing_environment_exits_1(tmp_path, capsys):
     assert capsys.readouterr().err
 
 
-def test_usage_errors_exit_1(env_file, capsys):
+def test_usage_errors_exit_1(env_file, tmp_path, capsys):
     assert main([]) == 1
+    twice = tmp_path / "twice.phi"
+    twice.write_text("0 1.0\n0 5.0\n")  # vertex 0 listed twice
+    assert main(["run", env_file, "--n", "2", "--phi", str(twice)]) == 1
     assert main(["run", env_file, "--n", "2", "--algorithm", "annealing"]) == 1
     assert main(["run", env_file, "--n", "2", "--dt", "-1"]) == 1
     assert main(["run", env_file]) == 1  # neither --n nor --partition
@@ -226,6 +229,10 @@ def test_bundled_map_names_resolve():
         assert path.endswith(".grid")
     with pytest.raises(FileNotFoundError):
         resolve_environment("atlantis")
+    # the library loader resolves the same names as the CLI
+    assert load_environment("two_by_five").n == 10
+    with pytest.raises(FileNotFoundError):
+        load_environment("atlantis")
 
 
 def test_bundled_map_via_cli(capsys):

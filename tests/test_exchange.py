@@ -26,7 +26,7 @@ from gossipcover import (
     random_start,
 )
 from gossipcover.graph import is_connected
-from gossipcover.partition import centroid_in_units
+from gossipcover.partition import price_region
 
 from conftest import SPLIT_ROWS, SPLIT_ZIGZAG, partition_from_regions
 from util_oracle import (
@@ -64,6 +64,11 @@ def test_region_validation(grid2x5, phi10):
         optimal_two_partition(grid2x5, [0, 9], [1], phi10)  # disconnected
     with pytest.raises(PartitionError):
         optimal_two_partition(grid2x5, [0, 77], [1], phi10)
+    # a resumed scan without priced= checks its regions the same way
+    resumed = ExchangeBudget(resume_centers=(0, 1), resume_cursor=1)
+    for region_a, region_b in ([], [1]), ([0, 77], [1]), ([0, 9], [1]), ([0, 1], [1, 2]):
+        with pytest.raises(PartitionError):
+            optimal_two_partition(grid2x5, region_a, region_b, phi10, resumed)
     with pytest.raises(ValueError):
         optimal_two_partition(
             grid2x5, [0], [1], phi10, ExchangeBudget(resume_cursor=99)
@@ -272,7 +277,7 @@ def test_assign_sides(grid2x5):
 
 def test_pairwise_exchange_identity_mapping(grid2x5, phi10, reference_splits):
     p = reference_splits["a"]
-    new_p, result, _, _ = pairwise_exchange(grid2x5, p, 0, 1, phi10)
+    new_p, result, _ = pairwise_exchange(grid2x5, p, 0, 1, phi10)
     assert result.improved
     assert new_p.region(0).tolist() == [0, 1, 2, 5, 6]
     assert new_p.region(1).tolist() == [3, 4, 7, 8, 9]
@@ -282,7 +287,7 @@ def test_pairwise_exchange_identity_mapping(grid2x5, phi10, reference_splits):
 def test_pairwise_exchange_position_matching(grid2x5, phi10, reference_splits):
     p = reference_splits["a"]
     # robot 0 sits right, robot 1 sits left: swapping sides is cheaper
-    new_p, result, _, _ = pairwise_exchange(grid2x5, p, 0, 1, phi10, positions=(4, 5))
+    new_p, result, _ = pairwise_exchange(grid2x5, p, 0, 1, phi10, positions=(4, 5))
     assert result.improved
     assert new_p.region(0).tolist() == [3, 4, 7, 8, 9]
     assert new_p.region(1).tolist() == [0, 1, 2, 5, 6]
@@ -290,16 +295,21 @@ def test_pairwise_exchange_position_matching(grid2x5, phi10, reference_splits):
 
 def test_pairwise_exchange_robot_order_irrelevant(grid2x5, phi10, reference_splits):
     p = reference_splits["a"]
-    ij, _, _, _ = pairwise_exchange(grid2x5, p, 0, 1, phi10, positions=(2, 7))
-    ji, _, _, _ = pairwise_exchange(grid2x5, p, 1, 0, phi10, positions=(7, 2))
+    ij, _, _ = pairwise_exchange(grid2x5, p, 0, 1, phi10, positions=(2, 7))
+    ji, _, _ = pairwise_exchange(grid2x5, p, 1, 0, phi10, positions=(7, 2))
     assert ij == ji
 
 
 def test_pairwise_exchange_no_change(grid2x5, phi10, reference_splits):
     p = reference_splits["c"]
-    new_p, result, _, _ = pairwise_exchange(grid2x5, p, 0, 1, phi10)
+    new_p, result, _ = pairwise_exchange(grid2x5, p, 0, 1, phi10)
     assert not result.improved
     assert new_p is p
+    # the caller's Territories come back as they are
+    priced = tuple(price_region(grid2x5, p.region(k), phi10) for k in (1, 0))
+    new_p, _, after = pairwise_exchange(grid2x5, p, 1, 0, phi10, priced=priced)
+    assert new_p is p
+    assert after[0] is priced[0] and after[1] is priced[1]
 
 
 def test_pairwise_exchange_validation(grid2x5, phi10, reference_splits):
@@ -331,7 +341,7 @@ def test_exchange_strictly_lowers_h_exp():
         )
         p.validate(g)
         before = h_exp(g, p, phi)
-        new_p, result, _, _ = pairwise_exchange(g, p, 0, 1, phi)
+        new_p, result, _ = pairwise_exchange(g, p, 0, 1, phi)
         after = h_exp(g, new_p, phi)
         if result.improved:
             assert after < before
@@ -353,11 +363,15 @@ def test_rule_off_lattice_strict_and_settled(rng, n, swap):
     i, j = (1, 0) if swap else (0, 1)
     before = tuple(centroid_and_cost(g, p.region(k), phi)[1] for k in (i, j))
     positions = (rng.choice(p.region(i).tolist()), rng.choice(p.region(j).tolist()))
-    new_p, _, after, _ = pairwise_exchange(g, p, i, j, phi, positions=positions)
+    new_p, _, after = pairwise_exchange(g, p, i, j, phi, positions=positions)
     if new_p is p:
         return
-    assert after == tuple(centroid_in_units(g, new_p.region(k), phi) for k in (i, j))
-    meters = tuple((c, cost * (g.unit_weight or 1.0)) for c, cost in after)
+    for k, territory in zip((i, j), after):
+        fresh = price_region(g, new_p.region(k), phi)
+        assert np.array_equal(territory.ids, fresh.ids)
+        assert (territory.centroid, territory.cost) == (fresh.centroid, fresh.cost)
+        assert np.array_equal(territory.dists, fresh.dists)
+    meters = tuple((t.centroid, t.cost * (g.unit_weight or 1.0)) for t in after)
     assert sum(cost for _, cost in meters) < sum(before)
     assert meters == tuple(centroid_and_cost(g, new_p.region(k), phi) for k in (i, j))
 
@@ -395,11 +409,11 @@ def test_scan_from_priced_incumbent_equals_fresh_scan(rng, n, on_lattice, chunk)
     p = partition_from_regions(n, sides)
     fresh = optimal_two_partition(g, sides[0], sides[1], phi, budget)
     for i, j in ((0, 1), (1, 0)):
-        priced = tuple(centroid_in_units(g, p.region(k), phi) for k in (i, j))
+        priced = tuple(price_region(g, p.region(k), phi) for k in (i, j))
         assert_same_result(pairwise_exchange(g, p, i, j, phi, budget, priced=priced)[1], fresh)
     while True:
         # the incumbent a caller caches for the regions it passes in
-        priced = tuple(centroid_in_units(g, side, phi) for side in sides)
+        priced = tuple(price_region(g, side, phi) for side in sides)
         fresh = optimal_two_partition(g, sides[0], sides[1], phi, budget)
         cached = optimal_two_partition(g, sides[0], sides[1], phi, budget, priced=priced)
         assert_same_result(cached, fresh)

@@ -65,6 +65,8 @@ def test_phi_file_roundtrip():
         parse_phi("0 1.0 extra\n", 4)
     with pytest.raises(ValueError):
         parse_phi("0 0.0\n", 4)
+    with pytest.raises(ValueError, match="line 3: vertex 0 listed twice"):
+        parse_phi("0 1.0\n# again\n0 5.0\n", 4)
 
 
 # ---- partition plumbing ----

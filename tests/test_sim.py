@@ -38,7 +38,7 @@ from gossipcover import (
     voronoi_partition,
 )
 from gossipcover.graph import region_distance_matrix, shortest_path
-from gossipcover.partition import centroid_in_units
+from gossipcover.partition import price_region
 from gossipcover.sim import (
     MEETING_NOCHANGE,
     MOVING,
@@ -420,8 +420,11 @@ def test_world_cache_matches_regions_after_every_step(rng, n, algorithm, budget,
     for _ in range(60):
         step(world)
         regions = world.partition.regions()
-        assert world._centroids == [centroid_in_units(g, region, phi) for region in regions]
-        meters = [(c, cost * (g.unit_weight or 1.0)) for c, cost in world._centroids]
+        for territory, region in zip(world._territories, regions):
+            fresh = price_region(g, region, phi)
+            assert np.array_equal(territory.ids, region)
+            assert (territory.centroid, territory.cost) == (fresh.centroid, fresh.cost)
+        meters = [(t.centroid, t.cost * (g.unit_weight or 1.0)) for t in world._territories]
         assert meters == [centroid_and_cost(g, region, phi) for region in regions]
         assert world._destinations == [
             destination_candidates(g, region, mode) for region in regions
@@ -481,8 +484,11 @@ def test_step_caches_match_fresh_searches(rng, n, algorithm, mode, uniform):
         for _ in range(60):
             step(world)
             assert eligible_pairs(world) == pairs_without_memo(world)
-            for dmat, region in zip(world._dists, world.partition.regions()):
-                assert np.array_equal(dmat, region_distance_matrix(g, region))
+            for territory, region in zip(world._territories, world.partition.regions()):
+                assert np.array_equal(territory.ids, region)
+                assert np.array_equal(territory.dists, region_distance_matrix(g, region))
+                if uniform:
+                    assert territory.dists.dtype.kind == "u"
             for start, path, region in trips:
                 assert path == shortest_path(g, region, start, path[-1])
             trips.clear()
