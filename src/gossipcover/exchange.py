@@ -27,10 +27,26 @@ The scan's improved flag compares candidates against the incumbent in
 scan order; the strict centroid-cost test that decides whether a split
 is adopted lives in pairwise_exchange, the one rule both the simulator
 and is_pairwise_optimal apply.
+
+Two evaluators price the candidates, and the inputs pick one. In the
+integer regime, a uniform-weight graph (integer hops), integer-valued
+phi (PhiWeights.integral) and dmax * sum(phi over U) < 2**24, every
+partial sum of every candidate price is an integer float32 holds
+exactly, so float32 gives the float64 value in any summation order and
+_scan_blocks prices a block of rows per numpy call. It prices only the
+pairs a < b: the price of (b, a) equals that of (a, b), which the scan
+met earlier, in this call or in an earlier chunk, and the incumbent has
+only fallen since, so the strict test never accepts (b, a). A block's
+first flat argmin is its first minimum in scan order. The cursor,
+pairs_evaluated and resuming still count ordered pairs. Every other
+input takes _scan_rows, one float64 row product per row; off the
+integer regime the two prices of a pair may differ in the last bit, so
+no pair is skipped there.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -39,6 +55,11 @@ import numpy as np
 from .graph import WeightedGraph, one_to_all, region_distance_matrix
 from .partition import Partition, PartitionError, PhiWeights, Territory, price_region
 
+# float32 holds every integer up to this bound exactly
+_F32_EXACT = float(2**24)
+# elements of one float32 block of _scan_blocks; about 2**16 measured fastest
+_BLOCK_ELEMENTS = 2**16
+
 
 @dataclass(frozen=True)
 class ExchangeBudget:
@@ -46,9 +67,9 @@ class ExchangeBudget:
 
     max_pairs=None scans to the end. resume_cursor picks up a truncated
     scan at that position of the ordered pair list. resume_centers must
-    carry the incumbent centers whenever a previous chunk already
-    improved on the original regions; leave it None when the regions
-    passed in are still the originals.
+    carry the incumbent centers, two distinct vertices of the union,
+    whenever a previous chunk already improved on the original regions;
+    leave it None when the regions passed in are still the originals.
     """
 
     max_pairs: Optional[int] = None
@@ -138,30 +159,25 @@ def optimal_two_partition(
         ca, cb = int(budget.resume_centers[0]), int(budget.resume_centers[1])
         if ca not in local or cb not in local:
             raise ValueError("resume_centers outside the region union")
+        if ca == cb:
+            raise ValueError("resume_centers must be two distinct vertices")
         ia, ib = local[ca], local[cb]
         incumbent_cost = float((np.minimum(dmat[ia], dmat) @ phi_u)[ib])
         dirty = True
 
     cursor = budget.resume_cursor
     end = scan_len if budget.max_pairs is None else min(scan_len, cursor + budget.max_pairs)
-    accepted = False
+    integral = (
+        graph.uniform_weights
+        and phi.integral
+        and float(dmat.max()) * float(phi_u.sum()) < _F32_EXACT
+    )
+    scan = _scan_blocks if integral else _scan_rows
+    incumbent_cost, accepted = scan(dmat, phi_u, cursor, end, incumbent_cost)
+    if accepted is not None:
+        ca, cb = int(union[accepted[0]]), int(union[accepted[1]])
 
-    pos = cursor
-    while pos < end:
-        row = pos // (m - 1)
-        row_end = min(end - row * (m - 1), m - 1)
-        offs = np.arange(pos - row * (m - 1), row_end)
-        cols = offs + (offs >= row)
-        row_costs = np.minimum(dmat[row], dmat) @ phi_u
-        seg = row_costs[cols]
-        k = int(np.argmin(seg))
-        if seg[k] < incumbent_cost:
-            incumbent_cost = float(seg[k])
-            ca, cb = int(union[row]), int(union[cols[k]])
-            accepted = True
-        pos = row * (m - 1) + row_end
-
-    if accepted or dirty:
+    if accepted is not None or dirty:
         ia, ib = local[ca], local[cb]
         mask = dmat[ia] <= dmat[ib]
         side_a = union[mask]
@@ -182,6 +198,68 @@ def optimal_two_partition(
         cursor=end,
         cost=incumbent_cost * (graph.unit_weight or 1.0),
     )
+
+
+def _scan_rows(dmat, phi_u, cursor, end, incumbent):
+    """Price ordered pairs [cursor, end) one float64 row product at a time.
+
+    Returns the incumbent cost after the segment and the (row, column)
+    of the pair that set it, or None when no pair beat the incumbent.
+    """
+    m = dmat.shape[0]
+    accepted = None
+    pos = cursor
+    while pos < end:
+        row = pos // (m - 1)
+        row_end = min(end - row * (m - 1), m - 1)
+        offs = np.arange(pos - row * (m - 1), row_end)
+        cols = offs + (offs >= row)
+        seg = (np.minimum(dmat[row], dmat) @ phi_u)[cols]
+        k = int(np.argmin(seg))
+        if seg[k] < incumbent:
+            incumbent = float(seg[k])
+            accepted = (row, int(cols[k]))
+        pos = row * (m - 1) + row_end
+    return incumbent, accepted
+
+
+def _scan_blocks(dmat, phi_u, cursor, end, incumbent):
+    """_scan_rows for integer inputs: the same result, many rows per call.
+
+    Exact only when every partial sum of a candidate price is an integer
+    below 2**24 (see the module docstring). Prices only the pairs a < b,
+    in float32, a block of rows [a0, a1) at a time; entries outside the
+    segment or with b <= a are +inf, and a block's first flat argmin is
+    its first minimum in scan order.
+    """
+    m = dmat.shape[0]
+    d32 = dmat.astype(np.float32)
+    phi32 = phi_u.astype(np.float32)
+    buf = np.empty(max(_BLOCK_ELEMENTS, (m - 1) * m), np.float32)
+    # a block of h rows and width >= h columns has h * h <= _BLOCK_ELEMENTS / m
+    below = np.tri(max(1, math.isqrt(_BLOCK_ELEMENTS // m)), m - 1, k=-1, dtype=bool)
+    below = np.where(below, np.float32(np.inf), np.float32(0))
+    accepted = None
+    a0 = cursor // (m - 1)
+    last = min((end - 1) // (m - 1), m - 2)
+    while a0 <= last:
+        width = m - 1 - a0
+        a1 = min(a0 + max(1, _BLOCK_ELEMENTS // (width * m)), last + 1)
+        h = a1 - a0
+        block = buf[: h * width * m].reshape(h, width, m)
+        np.minimum(d32[a0:a1, None, :], d32[None, a0 + 1 :, :], out=block)
+        costs = (block.reshape(-1, m) @ phi32).reshape(h, width)
+        costs += below[:h, :width]
+        # (a, b) sits at a * (m - 1) + b - 1; row a's pairs b > a start at a * m
+        if a0 * m < cursor or a1 * (m - 1) > end:
+            pos = np.arange(a0, a1)[:, None] * (m - 1) + np.arange(a0, m - 1)
+            costs[(pos < cursor) | (pos >= end)] = np.inf
+        r, c = divmod(int(np.argmin(costs)), width)
+        best = float(costs[r, c])
+        if best < incumbent:
+            incumbent, accepted = best, (a0 + r, a0 + 1 + c)
+        a0 = a1
+    return incumbent, accepted
 
 
 def assign_sides(

@@ -27,7 +27,12 @@ class PartitionError(ValueError):
 
 
 class PhiWeights:
-    """Strictly positive per-vertex weights with a cached total."""
+    """Strictly positive per-vertex weights with a cached total.
+
+    integral records once whether every weight is a whole number, which
+    lets exact integer arithmetic stand in for float64 sums (see
+    exchange.optimal_two_partition).
+    """
 
     def __init__(self, values: Sequence[float]):
         arr = np.asarray(values, dtype=np.float64)
@@ -37,6 +42,7 @@ class PhiWeights:
             raise ValueError("phi values must be finite and strictly positive")
         self.values = arr
         self.total = float(arr.sum())
+        self.integral = bool(np.all(arr == np.trunc(arr)))
 
     def __len__(self) -> int:
         return self.values.size

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,9 +24,16 @@ from gossipcover import (
     is_pairwise_optimal,
     optimal_two_partition,
     pairwise_exchange,
+    parse_grid,
     random_start,
 )
-from gossipcover.graph import is_connected
+from gossipcover import exchange
+from gossipcover.graph import (
+    DisconnectedEnvironmentError,
+    EmptyEnvironmentError,
+    is_connected,
+    region_distance_matrix,
+)
 from gossipcover.partition import price_region
 
 from conftest import SPLIT_ROWS, SPLIT_ZIGZAG, partition_from_regions
@@ -76,6 +84,16 @@ def test_region_validation(grid2x5, phi10):
     with pytest.raises(ValueError):
         optimal_two_partition(
             grid2x5, [0], [1], phi10, ExchangeBudget(resume_centers=(0, 9), resume_cursor=1)
+        )
+    # one center for both sides would leave side_b empty
+    grid2x4 = parse_grid("....\n....\n")
+    with pytest.raises(ValueError):
+        optimal_two_partition(
+            grid2x4,
+            [0, 1, 4, 5],
+            [2, 3, 6, 7],
+            PhiWeights.uniform(8),
+            ExchangeBudget(max_pairs=1, resume_cursor=3, resume_centers=(2, 2)),
         )
 
 
@@ -445,3 +463,124 @@ def test_rules_leave_non_adjacent_regions_unchanged(rng, n, on_lattice, chunk):
         assert pairwise_exchange(g, p, i, j, phi, budget, positions=positions)[0] is p
         centers = (centroid(g, p.region(i), phi), centroid(g, p.region(j), phi))
         assert gossip_lloyd_exchange(g, p, i, j, phi, centers) is p
+
+
+# ---- the integer block scan against the float64 row scan ----
+
+
+def random_integer_grid(rng):
+    """A connected obstacle grid of 2-9 by 2-9 cells, phi drawn from {1, 2, 3, 7}."""
+    while True:
+        rows, cols = rng.randint(2, 9), rng.randint(2, 9)
+        text = "\n".join(
+            "".join("." if rng.random() < 0.8 else "#" for _ in range(cols)) for _ in range(rows)
+        )
+        try:
+            g = parse_grid(text + "\n")
+        except (EmptyEnvironmentError, DisconnectedEnvironmentError):
+            continue
+        if g.n >= 2:
+            return g, PhiWeights([rng.choice([1, 2, 3, 7]) for _ in range(g.n)])
+
+
+def scan_and_chain(g, regions, phi, cap):
+    """The unbudgeted scan, then every chunk of a chain capped at cap pairs."""
+    results = [optimal_two_partition(g, *regions, phi)]
+    sides, budget = regions, ExchangeBudget(max_pairs=cap)
+    while True:
+        results.append(optimal_two_partition(g, *sides, phi, budget))
+        if results[-1].completed:
+            return results
+        sides = (results[-1].side_a, results[-1].side_b)
+        budget = results[-1].next_budget(cap)
+
+
+def oracle_on_union(g, union, phi):
+    """oracle_two_center on the union relabelled 0..m-1, in vertex ids."""
+    index = {v: k for k, v in enumerate(union)}
+    edges = [(index[u], index[v], w) for u, v, w in g.edges() if u in index and v in index]
+    best, pair = oracle_two_center(len(union), edges, range(len(union)), phi.values[union].tolist())
+    return best, (union[pair[0]], union[pair[1]])
+
+
+@settings(max_examples=60, deadline=None)
+@given(rng=st.randoms(use_true_random=False), cap=st.integers(1, 7))
+def test_integer_scan_equals_float64_rows(rng, cap):
+    g, phi = random_integer_grid(rng)
+    _, p = random_start(g, max(2, g.n // 12), rng.randrange(1000))
+    i, j = rng.choice(sorted(adjacency_edges(g, p)))
+    regions = (p.region(i), p.region(j))
+    with mock.patch.object(exchange, "_scan_blocks", wraps=exchange._scan_blocks) as blocks:
+        integer = scan_and_chain(g, regions, phi, cap)
+    assert blocks.call_count == len(integer)
+    with mock.patch.object(exchange, "_scan_blocks", exchange._scan_rows):
+        rows = scan_and_chain(g, regions, phi, cap)
+    assert len(integer) == len(rows)
+    for got, want in zip(integer, rows):
+        assert_same_result(got, want)
+    full = integer[0]
+    if full.improved:
+        union = np.union1d(*regions).tolist()
+        best, pair = oracle_on_union(g, union, phi)
+        assert (full.center_a, full.center_b) == pair
+        assert full.cost == best
+
+
+@settings(max_examples=60, deadline=None)
+@given(rng=st.randoms(use_true_random=False), row_end=st.booleans())
+def test_block_scan_prices_its_segment(rng, row_end):
+    # on any segment, also one no scan reached in order, the block scan returns
+    # the first cheapest pair a < b inside [cursor, end); row_end ends the
+    # segment at the first pair b > a of a row, where only (a, a) is left of it
+    g, phi = random_integer_grid(rng)
+    m = g.n
+    dmat = region_distance_matrix(g, np.arange(m))
+    cursor = rng.randrange(m * (m - 1))
+    end = rng.randint(cursor + 1, m * (m - 1))
+    if row_end:
+        end = min(m * (m - 1), (cursor // (m - 1) + 1) * m)
+    costs = np.minimum(dmat[:, None, :], dmat[None, :, :]) @ phi.values
+    pairs = [divmod(pos, m - 1) for pos in range(cursor, end)]
+    pairs = [(a, off + (off >= a)) for a, off in pairs]
+    want = min(((float(costs[a, b]), (a, b)) for a, b in pairs if a < b), default=(np.inf, None))
+    assert exchange._scan_blocks(dmat, phi.values, cursor, end, np.inf) == want
+
+
+def test_block_scan_never_pairs_a_center_with_itself():
+    # the segment (0, 3), (0, 4), (1, 0) of a path: its block also holds the
+    # entry (1, 1), a lone center at the heavy vertex 1 that undercuts both pairs
+    dmat = region_distance_matrix(path_graph(5), np.arange(5))
+    phi = np.array([1.0, 100.0, 100.0, 1.0, 1.0])
+    assert exchange._scan_blocks(dmat, phi, 2, 5, np.inf) == (201.0, (0, 3))
+
+
+@pytest.mark.parametrize(
+    "phi_values, integer",
+    [
+        # dmax * sum(phi) = 2 * (2**23 - 1): just below 2**24, the float32 block scan
+        ([2796204, 2796201, 2796202], True),
+        # dmax * sum(phi) = 2**24: at the bound, the float64 row scan
+        ([2796205, 2796201, 2796202], False),
+        # past the bound: float32 rounds 2**24 + 1 down onto 2**24, so the earlier
+        # pair (0, 1) would tie the true minimum (0, 2)
+        ([2**24 + 3, 2**24, 2**24 + 1], False),
+    ],
+)
+def test_integer_bound_edge(phi_values, integer):
+    g = path_graph(3)
+    phi = PhiWeights(phi_values)
+    # the incumbent (1, 2) costs phi[0]; the scan then meets (0, 1) at phi[2]
+    # and (0, 2) at phi[1], the minimum
+    budget = ExchangeBudget(resume_centers=(1, 2))
+    with mock.patch.object(exchange, "_scan_blocks", wraps=exchange._scan_blocks) as blocks:
+        result = optimal_two_partition(g, [0], [1, 2], phi, budget)
+    assert blocks.called == integer
+    best, pair = oracle_on_union(g, [0, 1, 2], phi)
+    assert (result.center_a, result.center_b) == pair == (0, 2)
+    assert result.cost == best == phi_values[1]
+    edges = list(g.edges())
+    assert (result.side_a.tolist(), result.side_b.tolist()) == oracle_split(3, edges, range(3), *pair)
+    # float32 prices stay exact up to the bound; past it the block scan would take (0, 1)
+    dmat = region_distance_matrix(g, np.arange(3))
+    _, blocks_pair = exchange._scan_blocks(dmat, phi.values, 0, 6, float(phi_values[0]))
+    assert blocks_pair == ((0, 2) if max(phi_values) < 2**24 else (0, 1))
