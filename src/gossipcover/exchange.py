@@ -18,7 +18,12 @@ The incumbent starts as the two input regions priced at their own
 centroids with region-induced distances. Pricing a region is also what
 checks it (see partition.price_region); a caller that holds the two
 regions' Territories (the simulator keeps one per robot) passes them
-as priced=, and the scan builds only the union's distance matrix.
+as priced=, and the scan makes only the union's distance matrix. On a
+uniform-weight graph it composes that matrix from the two Territory
+matrices through the edges between the regions (_union_hops), which in
+integer hops equals a fresh search of the union exactly; on other graphs
+it searches the union afresh, since a composed float sum can differ in
+the last bit from one accumulated edge by edge.
 Because every vertex's shortest path to its winning center stays inside
 the winning side, both sides of any candidate split are connected and
 the candidate price equals sum_k min(d_U(a,k), d_U(b,k)) * phi(k).
@@ -52,7 +57,7 @@ from typing import Optional
 
 import numpy as np
 
-from .graph import WeightedGraph, one_to_all, region_distance_matrix
+from .graph import UNREACHABLE, WeightedGraph, one_to_all, region_distance_matrix
 from .partition import Partition, PartitionError, PhiWeights, Territory, price_region
 
 # float32 holds every integer up to this bound exactly
@@ -147,9 +152,11 @@ def optimal_two_partition(
     if budget.resume_cursor > scan_len:
         raise ValueError(f"resume_cursor {budget.resume_cursor} beyond scan length {scan_len}")
 
-    dmat = region_distance_matrix(graph, union)
+    if graph.uniform_weights:
+        dmat = _union_hops(graph, *priced)
+    else:
+        dmat = region_distance_matrix(graph, union)
     phi_u = phi.values[union]
-    local = {int(v): k for k, v in enumerate(union)}
 
     if budget.resume_centers is None:
         ca, cb = priced[0].centroid, priced[1].centroid
@@ -157,11 +164,11 @@ def optimal_two_partition(
         dirty = False
     else:
         ca, cb = int(budget.resume_centers[0]), int(budget.resume_centers[1])
-        if ca not in local or cb not in local:
+        ia, ib = np.searchsorted(union, (ca, cb))
+        if max(ia, ib) == m or union[ia] != ca or union[ib] != cb:
             raise ValueError("resume_centers outside the region union")
         if ca == cb:
             raise ValueError("resume_centers must be two distinct vertices")
-        ia, ib = local[ca], local[cb]
         incumbent_cost = float((np.minimum(dmat[ia], dmat) @ phi_u)[ib])
         dirty = True
 
@@ -175,10 +182,10 @@ def optimal_two_partition(
     scan = _scan_blocks if integral else _scan_rows
     incumbent_cost, accepted = scan(dmat, phi_u, cursor, end, incumbent_cost)
     if accepted is not None:
-        ca, cb = int(union[accepted[0]]), int(union[accepted[1]])
+        ia, ib = accepted
+        ca, cb = int(union[ia]), int(union[ib])
 
     if accepted is not None or dirty:
-        ia, ib = local[ca], local[cb]
         mask = dmat[ia] <= dmat[ib]
         side_a = union[mask]
         side_b = union[~mask]
@@ -198,6 +205,54 @@ def optimal_two_partition(
         cursor=end,
         cost=incumbent_cost * (graph.unit_weight or 1.0),
     )
+
+
+def _union_hops(graph: WeightedGraph, ta: Territory, tb: Territory) -> np.ndarray:
+    """region_distance_matrix(graph, np.union1d(ta.ids, tb.ids)) on a
+    uniform-weight graph, for two disjoint regions, composed from their
+    Territory matrices instead of a fresh search of the union.
+
+    A portal is an end of a cut edge, one with an end in each region. A
+    union path from x to y that crosses between the regions splits at its
+    first cut edge into a path inside x's side to that edge's portal q
+    and a union path from q to y. A union path from a portal to y splits
+    at its last cut edge likewise, and the portal-to-portal union
+    distances come from Floyd-Warshall over the portals, with in-region
+    hops and one hop per cut edge. All of it is sums and minima of
+    integer hops, so every entry equals the searched one exactly.
+    Regions that share no edge have no portals and stay UNREACHABLE
+    across, as the search leaves them.
+    """
+    na, m = ta.ids.size, ta.ids.size + tb.ids.size
+    # vertices in side order, a's then b's; permuted to union order at the end
+    where = np.full(graph.n, -1)
+    where[ta.ids] = np.arange(na)
+    where[tb.ids] = np.arange(na, m)
+    side = np.full((m, m), UNREACHABLE)
+    side[:na, :na] = ta.dists
+    side[na:, na:] = tb.dists
+    u, v = where[graph.edge_ends()]
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    cut = (lo >= 0) & (lo < na) & (hi >= na)
+    portals, ends = np.unique(np.stack((lo[cut], hi[cut])), return_inverse=True)
+    ends = ends.reshape(2, -1)
+    inside = side[portals]
+    closure = inside[:, portals]
+    closure[ends[0], ends[1]] = closure[ends[1], ends[0]] = 1.0
+    for t in range(portals.size):
+        np.minimum(closure, closure[:, t, None] + closure[t], out=closure)
+    # from_portal[t, y]: union distance from portal t to y
+    from_portal = np.full((portals.size, m), UNREACHABLE)
+    for t in range(portals.size):
+        np.minimum(from_portal, closure[:, t, None] + inside[t], out=from_portal)
+    for t, q in enumerate(portals):
+        rows = slice(0, na) if q < na else slice(na, m)
+        np.minimum(side[rows], side[rows, q, None] + from_portal[t], out=side[rows])
+    order = np.argsort(np.concatenate((ta.ids, tb.ids)))
+    # take keeps the result C-ordered; side[order][:, order] comes out
+    # Fortran-ordered, which slows every block of _scan_blocks
+    side = side.take(order, axis=0)
+    return side.take(order, axis=1)
 
 
 def _scan_rows(dmat, phi_u, cursor, end, incumbent):

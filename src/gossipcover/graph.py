@@ -81,6 +81,7 @@ class WeightedGraph:
         self.unit_weight = weights[0] if self.uniform_weights else None
 
         self._csr: Optional[csr_matrix] = None
+        self._edge_ends: Optional[np.ndarray] = None
         self._ball_cache: dict[tuple[int, float], frozenset[int]] = {}
 
         if n > 1:
@@ -123,6 +124,14 @@ class WeightedGraph:
             data = np.fromiter(weights, dtype=np.float64, count=nnz)
             self._csr = csr_matrix((data, indices, indptr), shape=(self.n, self.n))
         return self._csr
+
+    def edge_ends(self) -> np.ndarray:
+        """The (2, edge_count) int64 array of edge endpoints (lower id first,
+        in edges() order), built lazily and cached; callers must not modify it."""
+        if self._edge_ends is None:
+            ends = [(u, v) for u, v, _ in self._edges]
+            self._edge_ends = np.array(ends, dtype=np.int64).reshape(-1, 2).T
+        return self._edge_ends
 
     def neighborhood(self, v: int, radius: float) -> frozenset[int]:
         """Vertices at graph distance strictly less than radius from v.

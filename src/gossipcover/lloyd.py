@@ -9,7 +9,7 @@ two-generator Voronoi seeded at the old region centroids).
 
 from __future__ import annotations
 
-from typing import Collection, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -108,19 +108,23 @@ def is_gossip_lloyd_fixed_point(
     partition: Partition,
     phi: PhiWeights,
     priced: Optional[Sequence[Territory]] = None,
-    done: Collection[tuple[int, int]] = (),
+    done: Optional[set[tuple[int, int]]] = None,
 ) -> bool:
     """True when no adjacent pair's Lloyd exchange would move any vertex.
 
     priced[k] is the Territory of robot k's region, whose centroid seeds
-    the exchange (priced here when None); pairs (i, j), i < j, in done are
-    known to be left unchanged by the exchange at these regions and are
-    not asked.
+    the exchange (priced here when None). Pairs (i, j), i < j, in the set
+    done are known to be left unchanged by the exchange at these regions
+    and are not asked; each pair the exchange is found to leave unchanged
+    is added to it.
     """
     if priced is None:
         priced = [price_region(graph, region, phi) for region in partition.regions()]
+    if done is None:
+        done = set()
     for i, j in sorted(adjacency_edges(graph, partition).difference(done)):
         centers = (priced[i].centroid, priced[j].centroid)
         if gossip_lloyd_exchange(graph, partition, i, j, phi, centers) is not partition:
             return False
+        done.add((i, j))
     return True

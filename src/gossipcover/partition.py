@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Collection, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -378,20 +378,24 @@ def is_pairwise_optimal(
     partition: Partition,
     phi: PhiWeights,
     priced: Optional[Sequence[Territory]] = None,
-    done: Collection[tuple[int, int]] = (),
+    done: Optional[set[tuple[int, int]]] = None,
 ) -> bool:
     """True when the pairwise exchange rule changes no adjacent pair.
 
     priced[k] is the Territory of robot k's region (priced here when
-    None); pairs (i, j), i < j, in done are known to be left unchanged by
-    the rule at these regions and are not asked.
+    None). Pairs (i, j), i < j, in the set done are known to be left
+    unchanged by the rule at these regions and are not asked; each pair
+    the rule is found to leave unchanged is added to it.
     """
     from .exchange import pairwise_exchange
 
     if priced is None:
         priced = [price_region(graph, region, phi) for region in partition.regions()]
+    if done is None:
+        done = set()
     for i, j in sorted(adjacency_edges(graph, partition).difference(done)):
         moved = pairwise_exchange(graph, partition, i, j, phi, priced=(priced[i], priced[j]))[0]
         if moved is not partition:
             return False
+        done.add((i, j))
     return True

@@ -17,13 +17,15 @@ destination candidates. One helper writes it, at the start and for the
 two robots of an adopted exchange, from the Territories the rule built
 to price the new regions. Meetings, convergence checks, trips and
 repairs read their regions from it: the exchange scan takes its
-incumbent from the cache and builds only the union's distance matrix,
-and a trip walks back along the cached matrix row of the robot's
-vertex instead of searching its region. A meeting of a pair that the
-rule already left unchanged at the same regions, or whose regions share
-no graph edge (neither rule can move a vertex there), is counted but
-not evaluated; the convergence check skips the former. The in-range pair list is
-rebuilt only in steps after which some robot stands on another vertex.
+incumbent from the cache and, on uniform-weight graphs, composes the
+union's distance matrix from the two cached ones, and a trip walks back
+along the cached matrix row of the robot's vertex instead of searching
+its region. A meeting of a pair that the rule already left unchanged
+at the same regions, at a meeting or in a convergence check, or whose
+regions share no graph edge (neither rule can move a vertex there), is
+counted but not evaluated; the convergence check skips the former. The
+in-range pair list is rebuilt only in steps after which some robot
+stands on another vertex.
 
 Everything is driven by one seeded random.Random stream, so a run is a
 pure function of (graph, partition, phi, config).
@@ -214,8 +216,6 @@ class World:
         self._destinations: list[list[int]] = [[]] * n_robots
         regions = self.partition.regions()
         _write_record(self, range(n_robots), [price_region(graph, r, phi) for r in regions])
-        edges = [(u, v) for u, v, _ in graph.edges()]
-        self._edge_ends = np.array(edges, dtype=np.int64).reshape(-1, 2).T
         # (i, j) -> budget resuming the pair's scan, or None once the rule
         # has left the pair unchanged or the two regions were found apart;
         # an adoption drops the pairs it touches
@@ -345,7 +345,7 @@ def _repair_robot(world: World, robot: RobotState) -> None:
 
 def _regions_touch(world: World, i: int, j: int) -> bool:
     """True when the regions of robots i and j share a graph edge."""
-    tails, heads = world.partition.owner[world._edge_ends]
+    tails, heads = world.partition.owner[world.graph.edge_ends()]
     return bool(np.any(((tails == i) & (heads == j)) | ((tails == j) & (heads == i))))
 
 
@@ -423,10 +423,21 @@ def step(world: World) -> World:
 
 def _settled(world: World) -> bool:
     """The algorithm's fixed-point predicate, from the cached Territories
-    and without asking the pairs the rule already left unchanged."""
+    and without asking the pairs the rule already left unchanged.
+
+    The pairs the check finds unchanged are recorded as done, so later
+    meetings and checks do not ask the rule again at the same regions;
+    gossip-coverage under an exchange budget records none, since a chain
+    of budgeted scans can adopt a split that the check's full scan
+    rejects.
+    """
     done = {pair for pair, state in world._pair_state.items() if state is None}
-    fixed = is_gossip_lloyd_fixed_point if world.algorithm == GOSSIP_LLOYD else is_pairwise_optimal
-    return fixed(world.graph, world.partition, world.phi, world._territories, done)
+    lloyd = world.algorithm == GOSSIP_LLOYD
+    fixed = is_gossip_lloyd_fixed_point if lloyd else is_pairwise_optimal
+    settled = fixed(world.graph, world.partition, world.phi, world._territories, done)
+    if lloyd or world.config.exchange_budget is None:
+        world._pair_state.update(dict.fromkeys(done))
+    return settled
 
 
 def run(

@@ -584,3 +584,71 @@ def test_integer_bound_edge(phi_values, integer):
     dmat = region_distance_matrix(g, np.arange(3))
     _, blocks_pair = exchange._scan_blocks(dmat, phi.values, 0, 6, float(phi_values[0]))
     assert blocks_pair == ((0, 2) if max(phi_values) < 2**24 else (0, 1))
+
+
+# ---- the union matrix composed from the two Territory matrices ----
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    rng=st.randoms(use_true_random=False),
+    kind=st.sampled_from(["adjacent", "apart", "single"]),
+    swap=st.booleans(),
+)
+def test_union_hops_equal_a_fresh_search(rng, kind, swap):
+    g, phi = random_integer_grid(rng)
+    _, p = random_start(g, max(2, g.n // 8), rng.randrange(1000))
+    touching = adjacency_edges(g, p)
+    if kind == "adjacent":
+        regions = [p.region(k) for k in rng.choice(sorted(touching))]
+    elif kind == "apart":
+        apart = [pair for pair in itertools.combinations(range(p.n_robots), 2) if pair not in touching]
+        assume(apart)
+        regions = [p.region(k) for k in rng.choice(apart)]
+    else:
+        # a lone vertex against another robot's region, next to it or not
+        j = rng.randrange(p.n_robots)
+        lone = rng.choice(np.flatnonzero(p.owner != j).tolist())
+        regions = [np.array([lone]), p.region(j)]
+    if swap:
+        regions.reverse()
+    ta, tb = (price_region(g, region, phi) for region in regions)
+    union = np.union1d(ta.ids, tb.ids)
+    got = exchange._union_hops(g, ta, tb)
+    want = region_distance_matrix(g, union)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_union_hops_take_a_detour_through_the_other_region():
+    # 3x3 grid, ids row-major: a is the left column, top row and right column,
+    # b the middle column's lower two cells; inside a, (2,0) to (2,2) is 6 hops
+    g = parse_grid("...\n...\n...\n")
+    phi = PhiWeights.uniform(9)
+    ta = price_region(g, np.array([0, 1, 2, 3, 5, 6, 8]), phi)
+    tb = price_region(g, np.array([4, 7]), phi)
+    assert ta.dists[5, 6] == 6
+    union = np.arange(9)
+    got = exchange._union_hops(g, ta, tb)
+    assert got[6, 8] == got[8, 6] == 2
+    assert np.array_equal(got, region_distance_matrix(g, union))
+
+
+def test_union_matrix_searched_only_on_weighted_graphs(grid2x5, phi10):
+    rng = random.Random(5)
+    n, edges = random_off_lattice_graph(rng, 8)
+    weighted = WeightedGraph(n, edges)
+    for g, phi, regions, searched in (
+        (grid2x5, phi10, ([0, 1, 2, 5, 6], [3, 4, 7, 8, 9]), False),
+        (weighted, PhiWeights.uniform(n), random_two_regions(rng, n, edges), True),
+    ):
+        priced = tuple(price_region(g, np.unique(region), phi) for region in regions)
+        union = np.union1d(*regions)
+        with mock.patch.object(
+            exchange, "region_distance_matrix", wraps=region_distance_matrix
+        ) as search:
+            optimal_two_partition(g, *regions, phi)
+            optimal_two_partition(g, *regions, phi, priced=priced)
+            pairwise_exchange(g, partition_from_regions(g.n, regions), 0, 1, phi)
+        assert search.call_count == (3 if searched else 0)
+        for call in search.call_args_list:
+            assert np.array_equal(call.args[1], union)

@@ -295,6 +295,15 @@ def test_edge_weight_lookup():
         g.edge_weight(0, 2)
 
 
+
+def test_edge_ends_follow_edges():
+    g = parse_edge_list("4\n2 1 1.5\n0 3 0.25\n1 3 1.0\n")
+    ends = g.edge_ends()
+    assert ends.dtype == np.int64
+    assert ends.tolist() == [[1, 0, 1], [2, 3, 3]]
+    assert g.edge_ends() is ends
+    assert parse_grid(".\n").edge_ends().shape == (2, 0)
+
 # ---- shortest paths ----
 
 

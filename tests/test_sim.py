@@ -537,6 +537,39 @@ def test_unchanged_pair_skipped_until_an_exchange_reopens_it(monkeypatch, algori
     assert calls == [(0, 1), (1, 2), (0, 1)]
 
 
+@pytest.mark.parametrize(
+    "algorithm, budget, kept",
+    [
+        (GOSSIP_COVERAGE, None, True),
+        # a budgeted chain can adopt partway where the check's full scan does not
+        (GOSSIP_COVERAGE, 1, False),
+        (GOSSIP_LLOYD, None, True),
+        (GOSSIP_LLOYD, 1, True),
+    ],
+)
+def test_settled_keeps_the_verdicts_it_reaches(monkeypatch, algorithm, budget, kept):
+    # the check leaves (0, 1) unchanged, then stops at (1, 2), which moves
+    part = partition_from_regions(9, [[0, 1], [2, 3], [4, 5, 6, 7, 8]])
+    path9 = parse_grid(".........\n")
+    config = quiet_config(exchange_budget=budget)
+    world = World(path9, part, PhiWeights.uniform(9), config, algorithm=algorithm)
+    assert not sim._settled(world)
+    assert world._pair_state == ({(0, 1): None} if kept else {})
+    calls = []
+    rule = "gossip_lloyd_exchange" if algorithm == GOSSIP_LLOYD else "pairwise_exchange"
+    original = getattr(sim, rule)
+
+    def counted(graph, partition, i, j, *args, **kwargs):
+        calls.append((i, j))
+        return original(graph, partition, i, j, *args, **kwargs)
+
+    monkeypatch.setattr(sim, rule, counted)
+    _apply_meeting(world, 0, 1)
+    assert calls == ([] if kept else [(0, 1)])
+    assert world.meeting_count == 1
+    assert [e.kind for e in world.events] == [MEETING_NOCHANGE]
+
+
 @pytest.mark.parametrize("algorithm", [GOSSIP_COVERAGE, GOSSIP_LLOYD])
 def test_out_of_contact_meeting_calls_no_rule(monkeypatch, algorithm):
     calls = []
