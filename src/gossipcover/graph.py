@@ -176,11 +176,16 @@ def one_to_all(
     float64 (meters = hops * unit_weight), which keeps sums and ties
     exact; general weights give Dijkstra distances accumulated edge by
     edge. Vertices outside the region or unreached stay at UNREACHABLE.
+    Whole-graph searches run in scipy, region searches in Python.
     """
     outside = _outside_mask(graph, region)
     if not 0 <= source < graph.n:
         raise ValueError(f"source {source} out of range")
-    if outside is not None and outside[source]:
+    if outside is None:
+        return _csgraph_dijkstra(
+            graph.csr(), directed=True, indices=source, unweighted=graph.uniform_weights
+        )
+    if outside[source]:
         raise ValueError(f"source {source} not in region")
     dist = np.full(graph.n, UNREACHABLE)
     if graph.uniform_weights:
@@ -287,7 +292,24 @@ def region_distance_matrix(graph: WeightedGraph, region_ids: np.ndarray) -> np.n
     comparisons free of rounding. General weights give accumulated
     distances.
     """
-    sub = graph.csr()[region_ids][:, region_ids]
+    csr = graph.csr()
+    ids = np.asarray(region_ids, dtype=np.int64)
+    # one gather of the region's rows of the adjacency, then of the entries
+    # whose column is in the region, renumbered to region positions
+    starts = csr.indptr[ids]
+    counts = csr.indptr[ids + 1] - starts
+    bounds = np.zeros(ids.size + 1, dtype=np.int64)
+    np.cumsum(counts, out=bounds[1:])
+    entries = np.arange(bounds[-1]) + np.repeat(starts - bounds[:-1], counts)
+    local = np.full(graph.n, -1, dtype=np.int32)
+    local[ids] = np.arange(ids.size, dtype=np.int32)
+    cols = local[csr.indices[entries]]
+    inside = cols >= 0
+    kept = np.zeros(entries.size + 1, dtype=np.int64)
+    np.cumsum(inside, out=kept[1:])
+    sub = csr_matrix(
+        (csr.data[entries][inside], cols[inside], kept[bounds]), shape=(ids.size, ids.size)
+    )
     # the sub-matrix holds both directions of every edge
     return _csgraph_dijkstra(sub, directed=True, unweighted=graph.uniform_weights)
 

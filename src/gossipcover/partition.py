@@ -350,13 +350,9 @@ def _nearest_generator(
 
 def adjacency_edges(graph: WeightedGraph, partition: Partition) -> frozenset[tuple[int, int]]:
     """Robot pairs whose regions touch along at least one graph edge."""
-    pairs = set()
-    owner = partition.owner
-    for u, v, _ in graph.edges():
-        a, b = int(owner[u]), int(owner[v])
-        if a != b:
-            pairs.add((min(a, b), max(a, b)))
-    return frozenset(pairs)
+    ends = np.sort(partition.owner[graph.edge_ends()], axis=0)
+    cut = ends[:, ends[0] != ends[1]]
+    return frozenset(zip(cut[0].tolist(), cut[1].tolist()))
 
 
 def is_centroidal_voronoi(

@@ -11,6 +11,19 @@ current phase, then resolves at most one meeting per robot. Exchanges
 take zero simulated time; a robot whose vertex is traded away walks the
 full graph back to its territory before resuming the protocol.
 
+Motion runs on an exact event schedule. A wait lasts the number of
+steps in which tau, less dt per step, stays positive; it is counted once
+per World. When a trip starts, the per-step motion recurrence (each step
+brings speed * dt meters, spent edge by edge; what is left at the end of
+the trip is dropped) runs once over its whole path and keeps the step at
+which each vertex is reached. A step then touches only the robots with
+an event due, in robot index order, so the random draws keep their
+order; the floating-point operations are those of a step-by-step walk,
+in the same order, only done earlier. One pass of either recurrence
+looks at most PLAN_STEPS steps ahead; a longer wait or trip resumes its
+recurrence when that step comes, so a crawling robot or a very long
+wait costs no more than stepping it would.
+
 Each robot's record is its region's Territory (sorted ids, centroid,
 cost, and the region distance matrix that priced it) plus its
 destination candidates. One helper writes it, at the start and for the
@@ -24,8 +37,9 @@ its region. A meeting of a pair that the rule already left unchanged
 at the same regions, at a meeting or in a convergence check, or whose
 regions share no graph edge (neither rule can move a vertex there), is
 counted but not evaluated; the convergence check skips the former. The
-in-range pair list is rebuilt only in steps after which some robot
-stands on another vertex.
+set of in-range pairs changes only by retesting the pairs of the robots
+that reached a vertex in the step, and its row-major list is rebuilt
+only when one of those pairs entered or left range.
 
 Everything is driven by one seeded random.Random stream, so a run is a
 pure function of (graph, partition, phi, config).
@@ -35,6 +49,7 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -67,6 +82,9 @@ DEPARTURE = "DEPARTURE"
 
 GOSSIP_COVERAGE = "gossip-coverage"
 GOSSIP_LLOYD = "gossip-lloyd"
+
+# the most steps one pass of the wait or trip recurrence runs ahead
+PLAN_STEPS = 1 << 16
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -109,9 +127,7 @@ class RobotState:
     id: int
     current_vertex: int
     path: list[int] = field(default_factory=list)
-    edge_progress: float = 0.0
     mode: str = WAITING
-    wait_remaining: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -220,9 +236,6 @@ class World:
         # has left the pair unchanged or the two regions were found apart;
         # an adoption drops the pairs it touches
         self._pair_state: dict[tuple[int, int], Optional[ExchangeBudget]] = {}
-        # eligible_pairs' last list and the robot vertices it was built at
-        self._pairs_at: tuple[int, ...] = ()
-        self._pairs: list[tuple[int, int]] = []
 
         if initial_positions is None:
             starts = [territory.centroid for territory in self._territories]
@@ -233,10 +246,29 @@ class World:
             for k, v in enumerate(starts):
                 if not (0 <= v < graph.n) or int(self.partition.owner[v]) != k:
                     raise PartitionError(f"robot {k} starts outside its region")
-        self.robots = [
-            RobotState(id=k, current_vertex=v, mode=WAITING, wait_remaining=config.tau)
-            for k, v in enumerate(starts)
-        ]
+        self.robots = [RobotState(id=k, current_vertex=v) for k, v in enumerate(starts)]
+
+        # the motion schedule: steps taken, and per robot the step of its
+        # next event, the step at which each vertex of its path is reached
+        # and where its recurrence stopped short, if it did: (step, budget,
+        # progress) on a trip, (step, remaining) in a wait
+        self._step = 0
+        self._budget = config.speed * config.dt
+        self._wait = _count_down(config.tau, config.dt)
+        self._due = [0] * n_robots
+        self._arrivals: list[list[int]] = [[] for _ in range(n_robots)]
+        self._resume: list[Optional[tuple]] = [None] * n_robots
+        # step -> robots with an event due then; an entry whose step is no
+        # longer the robot's _due was left by an old schedule
+        self._agenda: dict[int, list[int]] = {}
+        for robot in self.robots:
+            _start_wait(self, robot)
+        # per robot: the vertices in range of its vertex, and whether each
+        # other robot is in range; the in-range pairs in row-major order
+        self._balls: list[frozenset[int]] = [frozenset()] * n_robots
+        self._near = [[False] * n_robots for _ in range(n_robots)]
+        self._pairs: list[tuple[int, int]] = []
+        _retest_pairs(self, range(n_robots))
 
     def current_cost(self) -> float:
         return self._h_now
@@ -261,68 +293,151 @@ def _record(world: World, kind: str, i: int, j: Optional[int], motion: bool = Fa
     world.events.append(TraceEvent(world.time, kind, i, j, world._h_now))
 
 
+def _schedule(world: World, k: int, due: int) -> None:
+    world._due[k] = due
+    world._agenda.setdefault(due, []).append(k)
+
+
+def _count_down(remaining: float, dt: float) -> tuple[int, float]:
+    """Steps until remaining, less dt per step, is no longer positive, and
+    what is left; at most PLAN_STEPS steps."""
+    steps = 0
+    while remaining > 0.0 and steps < PLAN_STEPS:
+        remaining -= dt
+        steps += 1
+    return steps, remaining
+
+
+def _start_wait(world: World, robot: RobotState) -> None:
+    robot.mode = WAITING
+    robot.path = []
+    world._arrivals[robot.id] = []
+    _wait_on(world, robot.id, world._wait)
+
+
+def _wait_on(world: World, k: int, counted: tuple[int, float]) -> None:
+    steps, remaining = counted
+    end = world._step + steps
+    world._resume[k] = None if remaining <= 0.0 else (end, remaining)
+    _schedule(world, k, end)
+
+
+def _start_trip(world: World, robot: RobotState, path: list[int], mode: str) -> None:
+    """Send robot along path (the vertices after its own) from this step."""
+    robot.path = path
+    robot.mode = mode
+    world._arrivals[robot.id] = []
+    world._resume[robot.id] = (world._step, 0.0, 0.0)
+    _plan_trip(world, robot)
+
+
+def _plan_trip(world: World, robot: RobotState) -> None:
+    """Run the motion recurrence on from where robot's plan stopped: each
+    step brings a budget of speed * dt meters, spent edge by edge until the
+    path ends or the budget runs out mid-edge. Keep the step at which each
+    vertex is reached, and schedule the robot's next event."""
+    k, per_step = robot.id, world._budget
+    arrivals = world._arrivals[k]
+    step, budget, progress = world._resume[k]
+    stop = step + PLAN_STEPS
+    u = robot.current_vertex
+    for v in robot.path:
+        w = world.graph.edge_weight(u, v)
+        need = w - progress
+        # an edge is crossed only with budget to spend, so a progress that
+        # rounded up to w waits for the next step
+        while budget < need or budget == 0.0:
+            # adding a spent (zero) budget leaves the progress as it is
+            progress += budget
+            if step == stop:
+                world._resume[k] = (step, 0.0, progress)
+                _schedule(world, k, arrivals[0] if arrivals else step)
+                return
+            step += 1
+            budget = per_step
+            need = w - progress
+        budget -= need
+        progress = 0.0
+        arrivals.append(step)
+        u = v
+    world._resume[k] = None
+    _schedule(world, k, arrivals[0])
+
+
 def _choose_destination(world: World, robot: RobotState) -> None:
     candidates = world._destinations[robot.id]
     dest = candidates[world.rng.randrange(len(candidates))]
-    robot.edge_progress = 0.0
     if dest == robot.current_vertex:
-        robot.path = []
-        robot.mode = WAITING
-        robot.wait_remaining = world.config.tau
+        _start_wait(world, robot)
         return
     # the cached matrix row of the robot's vertex is its one_to_all row in
     # the region, so the walk gives the path shortest_path would
     territory = world._territories[robot.id]
     dist = np.full(world.graph.n, UNREACHABLE)
     dist[territory.ids] = territory.dists[np.searchsorted(territory.ids, robot.current_vertex)]
-    robot.path = _walk_back(world.graph, dist, robot.current_vertex, dest)[1:]
-    robot.mode = MOVING
+    _start_trip(world, robot, _walk_back(world.graph, dist, robot.current_vertex, dest)[1:], MOVING)
     _record(world, DEPARTURE, robot.id, None, motion=True)
 
 
-def _advance(world: World, robot: RobotState, dt: float) -> None:
-    budget = world.config.speed * dt
-    graph = world.graph
-    while budget > 0.0 and robot.path:
-        w = graph.edge_weight(robot.current_vertex, robot.path[0])
-        need = w - robot.edge_progress
-        if budget >= need:
-            robot.current_vertex = robot.path.pop(0)
-            robot.edge_progress = 0.0
-            budget -= need
+def _handle_event(world: World, robot: RobotState) -> bool:
+    """Apply robot's event due at this step; True when it changed vertex."""
+    k = robot.id
+    if robot.mode == WAITING:
+        resume = world._resume[k]
+        if resume is None:
+            _choose_destination(world, robot)
         else:
-            robot.edge_progress += budget
-            budget = 0.0
-    if robot.path:
-        return
-    was_relocating = robot.mode == RELOCATING
-    robot.edge_progress = 0.0
-    _record(world, ARRIVAL, robot.id, None, motion=True)
-    if was_relocating:
-        _choose_destination(world, robot)
+            _wait_on(world, k, _count_down(resume[1], world.config.dt))
+        return False
+    arrivals = world._arrivals[k]
+    reached = bisect_right(arrivals, world._step)
+    if reached:
+        robot.current_vertex = robot.path[reached - 1]
+        del robot.path[:reached], arrivals[:reached]
+    if not robot.path:
+        _record(world, ARRIVAL, k, None, motion=True)
+        if robot.mode == RELOCATING:
+            _choose_destination(world, robot)
+        else:
+            _start_wait(world, robot)
+    elif arrivals:
+        _schedule(world, k, arrivals[0])
     else:
-        robot.mode = WAITING
-        robot.wait_remaining = world.config.tau
+        _plan_trip(world, robot)
+    return reached > 0
 
 
 def eligible_pairs(world: World) -> list[tuple[int, int]]:
     """Robot pairs i < j within strict communication range of each other,
-    in row-major order; range is tested from the lower-indexed robot.
+    in row-major order; range is tested from the lower-indexed robot."""
+    graph, r = world.graph, world.config.r_comm
+    at = [robot.current_vertex for robot in world.robots]
+    pairs = []
+    for i in range(len(at) - 1):
+        ball = graph.neighborhood(at[i], r)
+        pairs.extend((i, j) for j in range(i + 1, len(at)) if at[j] in ball)
+    return pairs
 
-    The list is kept with the robot vertices it was built at and
-    rebuilt only when one of them changed; callers must not modify it.
-    """
-    at = tuple([robot.current_vertex for robot in world.robots])
-    if at != world._pairs_at:
-        graph, r = world.graph, world.config.r_comm
-        pairs = []
-        for i in range(len(at) - 1):
-            ball = graph.neighborhood(at[i], r)
-            for j in range(i + 1, len(at)):
-                if at[j] in ball:
-                    pairs.append((i, j))
-        world._pairs_at, world._pairs = at, pairs
-    return world._pairs
+
+def _retest_pairs(world: World, moved: Sequence[int]) -> None:
+    """Bring the in-range pairs up to date after the robots in moved
+    changed vertex; only their pairs can have entered or left range."""
+    at = [robot.current_vertex for robot in world.robots]
+    balls, near = world._balls, world._near
+    changed = False
+    for k in moved:
+        v = at[k]
+        ball = balls[k] = world.graph.neighborhood(v, world.config.r_comm)
+        # each pair is tested from its lower-indexed robot's ball
+        row = [v in b for b in balls[:k]] + [False] + [u in ball for u in at[k + 1 :]]
+        if row != near[k]:
+            near[k] = row
+            for i, inside in enumerate(row):
+                near[i][k] = inside
+            changed = True
+    if changed:
+        n = len(at)
+        world._pairs = [(i, j) for i in range(n - 1) for j in range(i + 1, n) if near[i][j]]
 
 
 def _repair_robot(world: World, robot: RobotState) -> None:
@@ -332,9 +447,8 @@ def _repair_robot(world: World, robot: RobotState) -> None:
     if robot.current_vertex not in members:
         dist = one_to_all(world.graph, None, robot.current_vertex)
         target = int(region[np.argmin(dist[region])])
-        robot.path = _walk_back(world.graph, dist, robot.current_vertex, target)[1:]
-        robot.edge_progress = 0.0
-        robot.mode = RELOCATING
+        path = _walk_back(world.graph, dist, robot.current_vertex, target)[1:]
+        _start_trip(world, robot, path, RELOCATING)
         return
     if robot.mode == WAITING:
         return
@@ -395,8 +509,8 @@ def _apply_meeting(world: World, i: int, j: int) -> None:
 
 
 def _resolve_meetings(world: World) -> None:
-    pairs = eligible_pairs(world)
-    fired = [p for p in pairs if world.rng.random() < world._fire_prob]
+    draw, prob = world.rng.random, world._fire_prob
+    fired = [p for p in world._pairs if draw() < prob]
     consumed: set[int] = set()
     for i, j in fired:
         if i in consumed or j in consumed:
@@ -407,16 +521,17 @@ def _resolve_meetings(world: World) -> None:
 
 
 def step(world: World) -> World:
-    """Advance the world one config.dt step: whole-step motion, then meetings."""
-    dt = world.config.dt
-    world.time += dt
-    for robot in world.robots:
-        if robot.mode == WAITING:
-            robot.wait_remaining -= dt
-            if robot.wait_remaining <= 0.0:
-                _choose_destination(world, robot)
-        else:
-            _advance(world, robot, dt)
+    """Advance the world one config.dt step: the motion events due, then meetings."""
+    world.time += world.config.dt
+    world._step += 1
+    due = world._agenda.pop(world._step, None)
+    if due:
+        moved = [
+            k for k in sorted(due)
+            if world._due[k] == world._step and _handle_event(world, world.robots[k])
+        ]
+        if moved:
+            _retest_pairs(world, moved)
     _resolve_meetings(world)
     return world
 

@@ -287,6 +287,37 @@ def test_region_distance_matrix_bit_equal_to_undirected_search(rng, n, uniform):
         assert dmat[k].tolist() == one_to_all(g, region, src)[region].tolist()
 
 
+@settings(max_examples=150, deadline=None)
+@given(rng=st.randoms(use_true_random=False), n=st.integers(1, 12), uniform=st.booleans())
+def test_region_distance_matrix_bit_equal_to_scipy_slice(rng, n, uniform):
+    n, edges = random_off_lattice_graph(rng, n) if n > 1 else (1, [])
+    if uniform:
+        edges = [(u, v, 0.6) for u, v, _ in edges]
+    g = WeightedGraph(n, edges)
+    # single vertices, sorted regions and regions in any order
+    region = np.array(rng.sample(range(n), rng.choice([1, rng.randint(1, n)])))
+    for ids in (region, np.sort(region)):
+        sliced = dijkstra(g.csr()[ids][:, ids], directed=True, unweighted=g.uniform_weights)
+        dmat = region_distance_matrix(g, ids)
+        assert dmat.dtype == sliced.dtype and np.array_equal(dmat, sliced)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rng=st.randoms(use_true_random=False), n=st.integers(1, 14), uniform=st.booleans())
+def test_whole_graph_one_to_all_equals_python_search(rng, n, uniform):
+    n, edges = random_off_lattice_graph(rng, n) if n > 1 else (1, [])
+    if uniform:
+        edges = [(u, v, 0.6) for u, v, _ in edges]
+    g = WeightedGraph(n, edges)
+    for src in range(n):
+        expected = np.full(n, UNREACHABLE)
+        (_bfs_into if g.uniform_weights else _dijkstra_into)(g, None, src, expected)
+        dist = one_to_all(g, None, src)
+        assert dist.dtype == expected.dtype and np.array_equal(dist, expected)
+    with pytest.raises(ValueError, match="out of range"):
+        one_to_all(g, None, n)
+
+
 def test_edge_weight_lookup():
     g = parse_edge_list("3\n0 1 1.5\n2 1 0.25\n")
     assert g.edge_weight(0, 1) == g.edge_weight(1, 0) == 1.5

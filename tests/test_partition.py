@@ -2,6 +2,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gossipcover import (
     Partition,
@@ -311,6 +313,28 @@ def test_adjacency_edges(grid2x5, reference_splits):
     g = parse_grid("...\n...\n...\n")
     rows = partition_from_regions(9, [[0, 1, 2], [3, 4, 5], [6, 7, 8]])
     assert adjacency_edges(g, rows) == frozenset({(0, 1), (1, 2)})
+
+
+def adjacency_edges_by_loop(graph, partition):
+    pairs = set()
+    for u, v, _ in graph.edges():
+        a, b = int(partition.owner[u]), int(partition.owner[v])
+        if a != b:
+            pairs.add((min(a, b), max(a, b)))
+    return frozenset(pairs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rng=st.randoms(use_true_random=False), n=st.integers(1, 16))
+def test_adjacency_edges_match_edge_loop(rng, n):
+    n, edges = random_off_lattice_graph(rng, n) if n > 1 else (1, [])
+    g = WeightedGraph(n, edges)
+    # owners need not form connected regions here
+    owner = [rng.randrange(rng.randint(1, n)) for _ in range(n)]
+    p = Partition(owner, max(owner) + 1)
+    pairs = adjacency_edges(g, p)
+    assert pairs == adjacency_edges_by_loop(g, p)
+    assert all(type(k) is int for pair in pairs for k in pair)
 
 
 def test_is_centroidal_voronoi(grid2x5, phi10, reference_splits):

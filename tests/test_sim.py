@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import SPLIT_ZIGZAG, partition_from_regions
-from util_oracle import off_lattice, random_off_lattice_graph
+from util_oracle import ReferenceMotion, off_lattice, random_off_lattice_graph
 import gossipcover.sim as sim
 from gossipcover import (
     GOSSIP_COVERAGE,
@@ -41,7 +41,9 @@ from gossipcover.graph import region_distance_matrix, shortest_path
 from gossipcover.partition import price_region
 from gossipcover.sim import (
     MEETING_NOCHANGE,
+    ARRIVAL,
     MOVING,
+    PLAN_STEPS,
     RELOCATING,
     WAITING,
     _apply_meeting,
@@ -148,28 +150,34 @@ def one_robot_world(**overrides):
     return World(PATH5, part, PhiWeights.uniform(5), config, initial_positions=[0])
 
 
+def start_trip(world, path):
+    # begin robot 0's trip through the simulator's own trip start
+    robot = world.robots[0]
+    sim._start_trip(world, robot, path, MOVING)
+    return robot
+
+
 def test_straight_path_arrival_step_count_exact():
     # L=4, v=0.5, dt=0.5: 4/(0.5*0.5) = 16 steps exactly
     world = one_robot_world(tau=100.0)
-    robot = world.robots[0]
-    robot.mode = MOVING
-    robot.path = [1, 2, 3, 4]
+    robot = start_trip(world, [1, 2, 3, 4])
+    assert world._arrivals[0] == [4, 8, 12, 16]
     for k in range(1, 17):
         step(world)
         if k < 16:
             assert robot.mode == MOVING
+            assert robot.current_vertex == k // 4
     assert robot.mode == WAITING
     assert robot.current_vertex == 4
     assert robot.path == []
-    assert robot.edge_progress == 0.0
+    # nothing carries over from the trip: the wait of tau/dt steps starts at 16
+    assert world._due[0] == 16 + 200
 
 
 def test_straight_path_arrival_step_count_ceil():
     # L=4, v=0.5, dt=0.6: ceil(4/0.3) = 14 steps, leftover motion discarded
     world = one_robot_world(tau=100.0, dt=0.6)
-    robot = world.robots[0]
-    robot.mode = MOVING
-    robot.path = [1, 2, 3, 4]
+    robot = start_trip(world, [1, 2, 3, 4])
     steps = 0
     while robot.mode == MOVING:
         step(world)
@@ -180,19 +188,16 @@ def test_straight_path_arrival_step_count_ceil():
 
 
 def test_mid_edge_progress_stays_below_weight():
+    # a quarter of the unit edge per step: the robot stays on its tail
+    # vertex for three steps and reaches the head on the fourth
     world = one_robot_world(tau=100.0)
-    robot = world.robots[0]
-    robot.mode = MOVING
-    robot.path = [1]
+    robot = start_trip(world, [1])
+    assert world._arrivals[0] == [4]
+    for _ in range(3):
+        step(world)
+        assert (robot.current_vertex, robot.path, robot.mode) == (0, [1], MOVING)
     step(world)
-    assert robot.current_vertex == 0
-    assert robot.edge_progress == 0.25
-    step(world)
-    assert robot.edge_progress == 0.5
-    step(world)
-    step(world)
-    assert robot.current_vertex == 1
-    assert robot.edge_progress == 0.0
+    assert (robot.current_vertex, robot.path, robot.mode) == (1, [], WAITING)
 
 
 def test_waiting_robot_departs_after_tau():
@@ -442,7 +447,7 @@ def test_world_cache_matches_regions_after_every_step(rng, n, algorithm, budget,
         assert world.current_cost() == float(costs.sum() / phi.total)
 
 
-def pairs_without_memo(world):
+def pairs_from_all_balls(world):
     at = [robot.current_vertex for robot in world.robots]
     balls = [world.graph.neighborhood(v, world.config.r_comm) for v in at]
     return [(i, j) for i in range(len(at)) for j in range(i + 1, len(at)) if at[j] in balls[i]]
@@ -483,7 +488,7 @@ def test_step_caches_match_fresh_searches(rng, n, algorithm, mode, uniform):
     try:
         for _ in range(60):
             step(world)
-            assert eligible_pairs(world) == pairs_without_memo(world)
+            assert world._pairs == eligible_pairs(world) == pairs_from_all_balls(world)
             for territory, region in zip(world._territories, world.partition.regions()):
                 assert np.array_equal(territory.ids, region)
                 assert np.array_equal(territory.dists, region_distance_matrix(g, region))
@@ -494,6 +499,99 @@ def test_step_caches_match_fresh_searches(rng, n, algorithm, mode, uniform):
             trips.clear()
     finally:
         sim._choose_destination = choose
+
+
+def reference_step(world, motion):
+    """One step of world with the step-by-step motion loop and a pair list
+    computed afresh; trips and waits that a meeting starts go to motion
+    through the patched trip and wait starts."""
+    world.time += world.config.dt
+
+    def arrived(robot):
+        sim._record(world, ARRIVAL, robot.id, None, motion=True)
+        if robot.mode == RELOCATING:
+            sim._choose_destination(world, robot)
+        else:
+            motion.start_wait(robot)
+
+    choose = lambda robot: sim._choose_destination(world, robot)
+    motion.step(world.robots, world.graph.edge_weight, choose, arrived)
+    world._pairs = eligible_pairs(world)
+    sim._resolve_meetings(world)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rng=st.randoms(use_true_random=False),
+    n=st.integers(3, 10),
+    algorithm=st.sampled_from([GOSSIP_COVERAGE, GOSSIP_LLOYD]),
+    mode=st.sampled_from([UNIFORM_REGION, OPEN_BOUNDARY]),
+    budget=st.sampled_from([None, 1]),
+    uniform=st.booleans(),
+    # meters per step below and above the edge weights (0.05 to 3, or 0.6)
+    reach=st.sampled_from([0.04, 0.5, 3.5]),
+    # 0.3 and 0.7 do not divide tau
+    timing=st.sampled_from([(1.0, 0.3), (2.5, 0.7), (1.0, 0.5)]),
+    plan_steps=st.sampled_from([PLAN_STEPS, 1, 3]),
+)
+def test_scheduled_motion_equals_step_by_step_reference(
+    rng, n, algorithm, mode, budget, uniform, reach, timing, plan_steps
+):
+    n, edges = random_off_lattice_graph(rng, n)
+    if uniform:
+        edges = [(u, v, 0.6) for u, v, _ in edges]
+    g = WeightedGraph(n, edges)
+    phi = PhiWeights([off_lattice(rng) for _ in range(n)])
+    _, part = random_start(g, 3, rng.randrange(1000))
+    tau, dt = timing
+    config = SimConfig(
+        speed=reach / dt, r_comm=g.max_edge_weight + rng.uniform(0.01, 3.0), lambda_comm=0.5,
+        tau=tau, dt=dt, destination_mode=mode, exchange_budget=budget, seed=rng.randrange(1000),
+    )
+    real = (sim.PLAN_STEPS, sim._start_trip, sim._start_wait)
+    # a small PLAN_STEPS makes waits and trips resume their recurrence
+    sim.PLAN_STEPS = plan_steps
+    try:
+        scheduled = World(g, part, phi, config, algorithm=algorithm)
+        reference = World(g, part, phi, config, algorithm=algorithm)
+        motion = ReferenceMotion(3, config.speed, tau, dt)
+        sim._start_trip = lambda world, robot, path, mode: (
+            motion.start_trip(robot, path, mode)
+            if world is reference
+            else real[1](world, robot, path, mode)
+        )
+        sim._start_wait = lambda world, robot: (
+            motion.start_wait(robot) if world is reference else real[2](world, robot)
+        )
+        for _ in range(80):
+            step(scheduled)
+            reference_step(reference, motion)
+            assert [(r.current_vertex, r.mode, r.path) for r in scheduled.robots] == [
+                (r.current_vertex, r.mode, r.path) for r in reference.robots
+            ]
+            assert scheduled._pairs == eligible_pairs(scheduled) == reference._pairs
+            assert scheduled.events == reference.events
+            assert scheduled.rng.getstate() == reference.rng.getstate()
+    finally:
+        sim.PLAN_STEPS, sim._start_trip, sim._start_wait = real
+
+
+def test_crawling_robot_and_endless_wait_plan_a_bounded_number_of_steps_at_a_time():
+    # 1e-300 m per step never crosses the edge, and 1e300 - 0.5 rounds back
+    # to 1e300, so neither recurrence ends; each stops every PLAN_STEPS steps
+    # and resumes when that step comes
+    world = one_robot_world(speed=2e-300, tau=100.0)
+    robot = start_trip(world, [1])
+    assert world._arrivals[0] == [] and world._due[0] == PLAN_STEPS
+    world._step = PLAN_STEPS - 1
+    step(world)
+    assert (robot.current_vertex, robot.path, robot.mode) == (0, [1], MOVING)
+    assert world._due[0] == 2 * PLAN_STEPS
+    world = one_robot_world(tau=1e300)
+    assert world._due[0] == PLAN_STEPS
+    world._step = PLAN_STEPS - 1
+    step(world)
+    assert (world.robots[0].mode, world._due[0]) == (WAITING, 2 * PLAN_STEPS)
 
 
 @settings(max_examples=60, deadline=None)
@@ -661,17 +759,18 @@ def test_exchange_relocates_robot_that_gave_away_its_vertex():
 
 def test_exchange_resamples_robot_whose_path_left_its_region():
     world = meeting_world([2, 7])
-    robot = world.robots[0]
-    robot.mode = MOVING
-    robot.path = [3, 4]
+    robot = start_trip(world, [3, 4])
     step(world)
     assert world.exchange_count == 1
     region0 = set(map(int, world.partition.region(0)))
     assert region0 == {0, 1, 2, 5, 6}
     # snapped back to the tail vertex with a destination inside the new region
     assert robot.current_vertex == 2
-    assert robot.edge_progress == 0.0
     assert robot.mode in (WAITING, MOVING)
+    if robot.mode == MOVING:
+        # the quarter edge walked before the exchange is dropped: the new
+        # trip's first unit edge takes four more steps
+        assert world._arrivals[0][0] == world._step + 4
     for v in robot.path:
         assert v in region0
 

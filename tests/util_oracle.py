@@ -205,3 +205,56 @@ def grid_edges(rows, cols, w=1.0):
             if r + 1 < rows:
                 edges.append((u, u + cols, w))
     return n, edges
+
+
+# ---- the simulator's step-by-step motion loop ----
+
+
+class ReferenceMotion:
+    """The simulator's motion loop before motion was event-scheduled: every
+    step, each waiting robot counts its wait down by dt, and each other
+    robot spends speed * dt meters along its path, edge by edge; what is
+    left when the path ends is dropped.
+
+    It keeps each robot's wait and its progress along its current edge.
+    Robots are objects with id, current_vertex, path and mode; start_wait
+    and start_trip begin a wait or a trip as the simulator does, and the
+    callbacks of step say what happens when a wait or a trip ends.
+    """
+
+    def __init__(self, n_robots, speed, tau, dt):
+        self.speed, self.tau, self.dt = speed, tau, dt
+        self.wait = [tau] * n_robots
+        self.progress = [0.0] * n_robots
+
+    def start_wait(self, robot):
+        robot.mode = "WAITING"
+        robot.path = []
+        self.wait[robot.id] = self.tau
+
+    def start_trip(self, robot, path, mode):
+        robot.path = path
+        robot.mode = mode
+        self.progress[robot.id] = 0.0
+
+    def step(self, robots, edge_weight, wait_over, arrived):
+        for robot in robots:
+            k = robot.id
+            if robot.mode == "WAITING":
+                self.wait[k] -= self.dt
+                if self.wait[k] <= 0.0:
+                    wait_over(robot)
+                continue
+            budget = self.speed * self.dt
+            while budget > 0.0 and robot.path:
+                need = edge_weight(robot.current_vertex, robot.path[0]) - self.progress[k]
+                if budget >= need:
+                    robot.current_vertex = robot.path.pop(0)
+                    self.progress[k] = 0.0
+                    budget -= need
+                else:
+                    self.progress[k] += budget
+                    budget = 0.0
+            if not robot.path:
+                self.progress[k] = 0.0
+                arrived(robot)
