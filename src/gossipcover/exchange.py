@@ -23,7 +23,11 @@ uniform-weight graph it composes that matrix from the two Territory
 matrices through the edges between the regions (_union_hops), which in
 integer hops equals a fresh search of the union exactly; on other graphs
 it searches the union afresh, since a composed float sum can differ in
-the last bit from one accumulated edge by edge.
+the last bit from one accumulated edge by edge. The result carries that
+union matrix, and pairwise_exchange prices both sides of an improving
+scan from it (price_region's seed), which on a uniform-weight graph
+searches only the few rows where a side's own hop counts differ from the
+union's.
 Because every vertex's shortest path to its winning center stays inside
 the winning side, both sides of any candidate split are connected and
 the candidate price equals sum_k min(d_U(a,k), d_U(b,k)) * phi(k).
@@ -52,7 +56,7 @@ no pair is skipped there.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -97,7 +101,9 @@ class ExchangeResult:
     regions the scan originally started from. cursor is the next
     position in the ordered pair list; completed marks a fully scanned
     list. cost is the incumbent's two-center cost (same scale as
-    h_one sums).
+    h_one sums). union_dists is the distance matrix of the union
+    np.union1d(side_a, side_b) that the scan priced with, in
+    region_distance_matrix units.
     """
 
     side_a: np.ndarray
@@ -109,6 +115,7 @@ class ExchangeResult:
     completed: bool
     cursor: int
     cost: float
+    union_dists: np.ndarray = field(repr=False)
 
     def next_budget(self, max_pairs: Optional[int] = None) -> ExchangeBudget:
         """Budget that resumes this scan; pass side_a/side_b back in."""
@@ -204,6 +211,7 @@ def optimal_two_partition(
         completed=end == scan_len,
         cursor=end,
         cost=incumbent_cost * (graph.unit_weight or 1.0),
+        union_dists=dmat,
     )
 
 
@@ -352,12 +360,13 @@ def pairwise_exchange(
     current regions (priced here when None); the scan reads the regions
     from them and starts from their prices, with the lower-indexed
     robot's region as its a-side. When the scan improves on the current
-    regions, both sides are priced with price_region, and the split is
-    adopted only if their cost sum in meters (cost * (graph.unit_weight
-    or 1.0), the floats centroid_and_cost gives) is strictly below that
-    of the current regions. The adopted sides are matched to the robots
-    by travel distance when positions=(pos_i, pos_j) is given, identity
-    otherwise.
+    regions, both sides are priced with price_region, seeded with the
+    scan's union matrix (the same Territories as an unseeded call, bit
+    for bit), and the split is adopted only if their cost sum in meters
+    (cost * (graph.unit_weight or 1.0), the floats centroid_and_cost
+    gives) is strictly below that of the current regions. The adopted
+    sides are matched to the robots by travel distance when
+    positions=(pos_i, pos_j) is given, identity otherwise.
 
     Returns the new partition, the scan result, and the Territories of
     robots i and j afterwards. When nothing moves, the input partition
@@ -373,7 +382,8 @@ def pairwise_exchange(
     if not result.improved:
         return partition, result, priced
 
-    sides = [price_region(graph, result.side_a, phi), price_region(graph, result.side_b, phi)]
+    seed = (np.union1d(ta.ids, tb.ids), result.union_dists)
+    sides = [price_region(graph, side, phi, seed) for side in (result.side_a, result.side_b)]
     unit = graph.unit_weight or 1.0
     new_cost = sides[0].cost * unit + sides[1].cost * unit
     if not new_cost < priced[0].cost * unit + priced[1].cost * unit:

@@ -23,6 +23,10 @@ from scipy.sparse.csgraph import connected_components
 from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 
 UNREACHABLE = math.inf
+# the uint16 hop count of seeded_region_hops for an unreached vertex
+UNREACHED_HOPS = 65535
+# vertices seeded_region_hops fills in; a region that gains more is mostly searched
+_FILL_LIMIT = 32
 
 
 class GraphFormatError(ValueError):
@@ -82,6 +86,7 @@ class WeightedGraph:
 
         self._csr: Optional[csr_matrix] = None
         self._edge_ends: Optional[np.ndarray] = None
+        self._neighbor_table: Optional[np.ndarray] = None
         self._ball_cache: dict[tuple[int, float], frozenset[int]] = {}
 
         if n > 1:
@@ -132,6 +137,19 @@ class WeightedGraph:
             ends = [(u, v) for u, v, _ in self._edges]
             self._edge_ends = np.array(ends, dtype=np.int64).reshape(-1, 2).T
         return self._edge_ends
+
+    def neighbor_table(self) -> np.ndarray:
+        """The (n, max(1, max degree)) int64 array of each vertex's
+        neighbours in csr() order, padded with n, built lazily and cached;
+        callers must not modify it."""
+        if self._neighbor_table is None:
+            csr = self.csr()
+            degrees = np.diff(csr.indptr)
+            table = np.full((self.n, int(degrees.max(initial=1))), self.n, dtype=np.int64)
+            slots = np.arange(csr.indices.size) - np.repeat(csr.indptr[:-1], degrees)
+            table[np.repeat(np.arange(self.n), degrees), slots] = csr.indices
+            self._neighbor_table = table
+        return self._neighbor_table
 
     def neighborhood(self, v: int, radius: float) -> frozenset[int]:
         """Vertices at graph distance strictly less than radius from v.
@@ -284,16 +302,10 @@ def is_connected(graph: WeightedGraph, region: Iterable[int]) -> bool:
     return 0 not in outside
 
 
-def region_distance_matrix(graph: WeightedGraph, region_ids: np.ndarray) -> np.ndarray:
-    """All-pairs distances of the induced subgraph, ordered like region_ids.
-
-    Uniform-weight graphs give integer hop counts (distance in meters =
-    hops * graph.unit_weight); exact integer arithmetic keeps cost
-    comparisons free of rounding. General weights give accumulated
-    distances.
-    """
+def _induced_csr(graph: WeightedGraph, ids: np.ndarray) -> csr_matrix:
+    """The adjacency of the subgraph induced by the int64 ids, renumbered to
+    positions in ids; it holds both directions of every edge."""
     csr = graph.csr()
-    ids = np.asarray(region_ids, dtype=np.int64)
     # one gather of the region's rows of the adjacency, then of the entries
     # whose column is in the region, renumbered to region positions
     starts = csr.indptr[ids]
@@ -307,11 +319,95 @@ def region_distance_matrix(graph: WeightedGraph, region_ids: np.ndarray) -> np.n
     inside = cols >= 0
     kept = np.zeros(entries.size + 1, dtype=np.int64)
     np.cumsum(inside, out=kept[1:])
-    sub = csr_matrix(
+    return csr_matrix(
         (csr.data[entries][inside], cols[inside], kept[bounds]), shape=(ids.size, ids.size)
     )
-    # the sub-matrix holds both directions of every edge
+
+
+def region_distance_matrix(graph: WeightedGraph, region_ids: np.ndarray) -> np.ndarray:
+    """All-pairs distances of the induced subgraph, ordered like region_ids.
+
+    Uniform-weight graphs give integer hop counts (distance in meters =
+    hops * graph.unit_weight); exact integer arithmetic keeps cost
+    comparisons free of rounding. General weights give accumulated
+    distances.
+    """
+    sub = _induced_csr(graph, np.asarray(region_ids, dtype=np.int64))
     return _csgraph_dijkstra(sub, directed=True, unweighted=graph.uniform_weights)
+
+
+def seeded_region_hops(
+    graph: WeightedGraph, ids: np.ndarray, seed_ids: np.ndarray, seed_hops: np.ndarray
+) -> np.ndarray:
+    """region_distance_matrix(graph, ids) of a uniform-weight graph as uint16
+    hop counts, UNREACHED_HOPS where the search gives UNREACHABLE, built from
+    the hop matrix seed_hops of a region with sorted ids seed_ids.
+
+    ids are sorted int64 and fewer than UNREACHED_HOPS, so every hop count is
+    below the sentinel. The candidate matrix M copies the seed's entries
+    between the vertices both regions share. Each vertex g the seed lacks
+    gets the row 1 + the minimum of its neighbours' rows, mirrored into its
+    column, twice, so that M[g, h] also covers the paths from g to another
+    such vertex h through the shared part; then a Floyd-Warshall pass
+    through each such g adds the paths that cross it (at most
+    _FILL_LIMIT of them; beyond that the check below fails and searches).
+    When the seed's entries are the hop counts of the shared part, M is
+    now exact.
+
+    Every column y is checked in one vectorized Bellman pass: M[y, y] = 0
+    and, for x != y, M[x, y] = 1 + the minimum of M[z, y] over x's
+    in-region neighbours z, saturating at the sentinel. On a unit-step graph
+    the hop counts to y are the only solution (a finite entry without a
+    path to y would need an endless descending chain), so a column that
+    passes equals the search integer for integer. The columns that fail,
+    for example where the seed region had a shortest path through a vertex
+    this region lacks, are searched from y.
+    """
+    m = ids.size
+    local = np.full(graph.n + 1, m, dtype=np.int64)
+    local[ids] = np.arange(m)
+    # in-region neighbours of each region vertex, padded with m; row m of
+    # hops stays UNREACHED_HOPS, so the padding never lowers a minimum
+    nbrs = local[graph.neighbor_table()[ids]]
+    hops = np.full((m + 1, m), UNREACHED_HOPS, dtype=np.uint16)
+    mat = hops[:m]
+    at = np.minimum(np.searchsorted(seed_ids, ids), seed_ids.size - 1)
+    gained = np.flatnonzero(seed_ids[at] != ids)
+    copied = seed_hops.take(at, axis=0).take(at, axis=1)
+    if copied.dtype.kind == "f" or copied.dtype.itemsize > 2:
+        copied = np.minimum(copied, UNREACHED_HOPS)
+    mat[:] = copied
+    mat[gained] = UNREACHED_HOPS
+    mat[:, gained] = UNREACHED_HOPS
+    np.fill_diagonal(mat, 0)
+    if 0 < gained.size <= _FILL_LIMIT:
+        for _ in range(2):
+            rows = _bellman(hops, nbrs[gained])
+            rows[np.arange(gained.size), gained] = 0
+            mat[gained] = rows
+            mat[:, gained] = rows.T
+        for g in gained.tolist():
+            through = np.add(mat[:, g, None], mat[g], dtype=np.int32)
+            np.minimum(mat, through, out=mat, casting="unsafe")
+    best = _bellman(hops, nbrs)
+    np.fill_diagonal(best, 0)
+    failed = np.flatnonzero((best != mat).any(axis=0))
+    if failed.size:
+        sub = _induced_csr(graph, ids)
+        rows = _csgraph_dijkstra(sub, directed=True, indices=failed, unweighted=True)
+        mat[:, failed] = np.minimum(rows, UNREACHED_HOPS).T
+    return mat
+
+
+def _bellman(hops: np.ndarray, nbrs: np.ndarray) -> np.ndarray:
+    """Per row of nbrs, 1 + the minimum of the rows of hops it lists,
+    saturating at UNREACHED_HOPS."""
+    best = hops[nbrs[:, 0]]
+    for k in range(1, nbrs.shape[1]):
+        np.minimum(best, hops[nbrs[:, k]], out=best)
+    np.minimum(best, UNREACHED_HOPS - 1, out=best)
+    best += 1
+    return best
 
 
 def parse_grid(text: str) -> WeightedGraph:

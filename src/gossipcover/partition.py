@@ -19,7 +19,14 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .graph import WeightedGraph, is_connected, one_to_all, region_distance_matrix
+from .graph import (
+    UNREACHED_HOPS,
+    WeightedGraph,
+    is_connected,
+    one_to_all,
+    region_distance_matrix,
+    seeded_region_hops,
+)
 
 
 class PartitionError(ValueError):
@@ -193,19 +200,29 @@ def format_partition(partition: Partition) -> str:
 
 
 def _center_costs(
-    graph: WeightedGraph, ids: np.ndarray, phi: PhiWeights
+    graph: WeightedGraph,
+    ids: np.ndarray,
+    phi: PhiWeights,
+    seed: Optional[tuple[np.ndarray, np.ndarray]] = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The region_distance_matrix of the region with sorted ids, and the
     cost of every region vertex as its center in the same units: the one
     place a region is priced.
 
-    Raises PartitionError when the region is empty, has out-of-range
-    vertices or is disconnected.
+    On a uniform-weight graph, seed=(seed_ids, seed_hops) builds the matrix
+    with seeded_region_hops, as uint16 hop counts equal to the search's;
+    the costs come from the same float64 product. Raises PartitionError
+    when the region is empty, has out-of-range vertices or is disconnected.
     """
     if ids.size == 0:
         raise PartitionError("region is empty")
     if ids[0] < 0 or ids[-1] >= graph.n:
         raise PartitionError("region has out-of-range vertices")
+    if seed is not None and graph.uniform_weights and ids.size < UNREACHED_HOPS:
+        hops = seeded_region_hops(graph, ids, *seed)
+        if hops.max() == UNREACHED_HOPS:
+            raise PartitionError("region is disconnected")
+        return hops, hops.astype(np.float64) @ phi.values[ids]
     dmat = region_distance_matrix(graph, ids)
     if np.any(np.isinf(dmat)):
         raise PartitionError("region is disconnected")
@@ -244,17 +261,27 @@ class Territory:
     dists: np.ndarray
 
 
-def price_region(graph: WeightedGraph, ids: np.ndarray, phi: PhiWeights) -> Territory:
+def price_region(
+    graph: WeightedGraph,
+    ids: np.ndarray,
+    phi: PhiWeights,
+    seed: Optional[tuple[np.ndarray, np.ndarray]] = None,
+) -> Territory:
     """The Territory of the region with sorted vertex ids: the only place
     one is made, so every Territory is nonempty, in range and connected.
 
     Raises PartitionError otherwise. The centroid is the region vertex
-    minimizing h_one; ties go to the lowest vertex id.
+    minimizing h_one; ties go to the lowest vertex id. seed=(seed_ids,
+    seed_hops), the sorted ids and hop matrix of a region that shares most
+    of its vertices with this one (the robot's old Territory, or the union
+    matrix of an exchange scan), spares most of the search on a
+    uniform-weight graph and changes no bit of the result; other graphs
+    ignore it.
     """
-    dmat, costs = _center_costs(graph, ids, phi)
+    dmat, costs = _center_costs(graph, ids, phi, seed)
     best = int(np.argmin(costs))
     if graph.uniform_weights:
-        dmat = dmat.astype(np.min_scalar_type(int(dmat.max())))
+        dmat = dmat.astype(np.min_scalar_type(int(dmat.max())), copy=False)
     return Territory(ids, int(ids[best]), float(costs[best]), dmat)
 
 

@@ -6,9 +6,9 @@ the region's shortest path at constant speed, wait tau, repeat. While
 two robots sit within communication range of each other, a Poisson
 clock (thinned per step to firing probability 1 - exp(-lambda*dt))
 triggers a pairwise territory exchange. Time advances in fixed dt
-steps: each step first moves every robot through a whole step of its
-current phase, then resolves at most one meeting per robot. Exchanges
-take zero simulated time; a robot whose vertex is traded away walks the
+steps: each step first handles the motion events due in it (arrivals at
+path vertices and ends of waits), then resolves at most one meeting per
+robot. Exchanges take zero simulated time; a robot whose vertex is traded away walks the
 full graph back to its territory before resuming the protocol.
 
 Motion runs on an exact event schedule. A wait lasts the number of
@@ -28,9 +28,14 @@ Each robot's record is its region's Territory (sorted ids, centroid,
 cost, and the region distance matrix that priced it) plus its
 destination candidates. One helper writes it, at the start and for the
 two robots of an adopted exchange, from the Territories the rule built
-to price the new regions. Meetings, convergence checks, trips and
-repairs read their regions from it: the exchange scan takes its
-incumbent from the cache and, on uniform-weight graphs, composes the
+to price the new regions. On uniform-weight graphs only the start
+searches region matrices from scratch: a new region is priced from a
+matrix the meeting already holds (partition.price_region's seed). The
+pairwise rule seeds both sides with the scan's union matrix, and a Lloyd
+move seeds each robot's new region with the matrix of its old Territory.
+Meetings, convergence checks, trips and repairs read their regions from
+the record: the exchange scan takes its incumbent from the cache and,
+on uniform-weight graphs, composes the
 union's distance matrix from the two cached ones, and a trip walks back
 along the cached matrix row of the robot's vertex instead of searching
 its region. A meeting of a pair that the rule already left unchanged
@@ -481,7 +486,10 @@ def _apply_meeting(world: World, i: int, j: int) -> None:
         if new_partition is partition:
             state = None
         else:
-            priced = [price_region(graph, new_partition.region(k), phi) for k in (i, j)]
+            priced = [
+                price_region(graph, new_partition.region(k), phi, (old.ids, old.dists))
+                for k, old in zip((i, j), priced)
+            ]
             state = budget  # a Lloyd move leaves the pair open
     else:
         positions = (world.robots[i].current_vertex, world.robots[j].current_vertex)

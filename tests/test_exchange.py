@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import random
+from collections import deque
 from unittest import mock
 
 import numpy as np
@@ -27,7 +28,7 @@ from gossipcover import (
     parse_grid,
     random_start,
 )
-from gossipcover import exchange
+from gossipcover import exchange, graph
 from gossipcover.graph import (
     DisconnectedEnvironmentError,
     EmptyEnvironmentError,
@@ -652,3 +653,150 @@ def test_union_matrix_searched_only_on_weighted_graphs(grid2x5, phi10):
         assert search.call_count == (3 if searched else 0)
         for call in search.call_args_list:
             assert np.array_equal(call.args[1], union)
+
+
+# ---- sides priced from a seed matrix the meeting already holds ----
+
+
+def assert_same_territory(got, want):
+    assert got.ids.dtype == want.ids.dtype and np.array_equal(got.ids, want.ids)
+    assert type(got.centroid) is int and got.centroid == want.centroid
+    assert np.float64(got.cost).tobytes() == np.float64(want.cost).tobytes()
+    assert got.dists.dtype == want.dists.dtype and np.array_equal(got.dists, want.dists)
+
+
+def priced_both_ways(g, ids, phi, seed):
+    """price_region with and without the seed: the same Territory or the same error."""
+    try:
+        want = price_region(g, ids, phi)
+    except PartitionError as error:
+        with pytest.raises(PartitionError, match=str(error)):
+            price_region(g, ids, phi, seed)
+        return
+    assert_same_territory(price_region(g, ids, phi, seed), want)
+
+
+def grown_into(g, ids, other, count):
+    """Up to count vertices of other, taken breadth-first from ids: each one
+    is next to ids or to a vertex taken before it."""
+    pool, taken = set(other.tolist()), []
+    queue = deque(ids.tolist())
+    while queue and len(taken) < count:
+        for v, _ in g.neighbors(queue.popleft()):
+            if v in pool and len(taken) < count:
+                pool.remove(v)
+                taken.append(v)
+                queue.append(v)
+    return np.array(sorted(taken), dtype=np.int64)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rng=st.randoms(use_true_random=False),
+    kind=st.sampled_from(["lloyd", "boundary", "union", "shortened", "single"]),
+    integral=st.booleans(),
+)
+def test_seeded_pricing_equals_a_fresh_search(rng, kind, integral):
+    g, phi = random_integer_grid(rng)
+    if not integral:
+        phi = PhiWeights([off_lattice(rng) for _ in range(g.n)])
+    _, p = random_start(g, max(2, g.n // 8), rng.randrange(1000))
+    i, j = rng.choice(sorted(adjacency_edges(g, p)))
+    old, other = price_region(g, p.region(i), phi), p.region(j)
+    seed = (old.ids, old.dists)
+    if kind == "lloyd":
+        # robot i's side of a Lloyd split of the union at random centers
+        centers = rng.sample(np.union1d(old.ids, other).tolist(), 2)
+        sides = [gossip_lloyd_exchange(g, p, i, j, phi, centers).region(i)]
+    elif kind == "boundary":
+        # a few vertices given away, and vertices of j taken breadth-first,
+        # some of them two or more hops from what robot i keeps
+        lost = rng.sample(old.ids.tolist(), rng.randrange(min(3, old.ids.size)))
+        gained = grown_into(g, old.ids, other, rng.randint(1, other.size))
+        sides = [np.setdiff1d(np.union1d(old.ids, gained), lost)]
+    elif kind == "union":
+        # both sides of a split of the union by the scan's side rule
+        union = np.union1d(old.ids, other)
+        seed = (union, exchange._union_hops(g, old, price_region(g, other, phi)))
+        a, b = rng.sample(range(union.size), 2)
+        mask = seed[1][a] <= seed[1][b]
+        sides = [union[mask], union[~mask]]
+    elif kind == "shortened":
+        # robot i loses a vertex w inside a shortest x-y path, so the seed's
+        # x-y entry may be too small for the new region (or w was a cut vertex)
+        hops = old.dists.astype(np.int64)
+        far = np.argwhere(hops >= 2)
+        if far.size:
+            x, y = far[rng.randrange(len(far))]
+            inner = np.flatnonzero(hops[x] + hops[:, y] == hops[x, y])
+            w = rng.choice([k for k in inner.tolist() if k not in (x, y)])
+        else:
+            w = rng.randrange(old.ids.size)
+        sides = [np.delete(old.ids, w)] if old.ids.size > 1 else [old.ids]
+    else:
+        # single vertices, one shared with the seed and one not
+        sides = [old.ids[rng.randrange(old.ids.size)], other[rng.randrange(other.size)]]
+        sides = [np.array([v], dtype=np.int64) for v in sides]
+    for side in sides:
+        priced_both_ways(g, side, phi, seed)
+
+
+@settings(max_examples=40, deadline=None)
+@given(rng=st.randoms(use_true_random=False), unit=st.sampled_from([1.0, 0.6]))
+def test_seeded_pricing_on_a_long_path(rng, unit):
+    # hop counts above 255: uint16 matrices, and sides that gain tens of
+    # vertices at either end
+    n = rng.randint(300, 340)
+    g = path_graph(n, unit)
+    phi = PhiWeights([off_lattice(rng) for _ in range(n)])
+    lo, hi = sorted(rng.sample(range(n + 1), 2))
+    old = price_region(g, np.arange(lo, hi), phi)
+    new_lo = min(max(0, lo + rng.randint(-40, 40)), n - 1)
+    new_hi = max(min(n, hi + rng.randint(-40, 40)), new_lo + 1)
+    ids = np.arange(new_lo, new_hi)
+    priced_both_ways(g, ids, phi, (old.ids, old.dists))
+    if ids.size > 2:
+        # a hole splits the path
+        priced_both_ways(g, np.delete(ids, rng.randrange(1, ids.size - 1)), phi, (old.ids, old.dists))
+
+
+@settings(max_examples=60, deadline=None)
+@given(rng=st.randoms(use_true_random=False))
+def test_regions_that_only_gain_are_priced_without_a_search(rng):
+    # the filled rows and the pass through the gained vertices are exact
+    # when the seed is the hop matrix of the part that stays
+    g, phi = random_integer_grid(rng)
+    _, p = random_start(g, max(2, g.n // 8), rng.randrange(1000))
+    i, j = rng.choice(sorted(adjacency_edges(g, p)))
+    old = price_region(g, p.region(i), phi)
+    gained = grown_into(g, old.ids, p.region(j), rng.randint(1, graph._FILL_LIMIT))
+    ids = np.union1d(old.ids, gained)
+    with mock.patch.object(graph, "_csgraph_dijkstra", wraps=graph._csgraph_dijkstra) as search:
+        got = price_region(g, ids, phi, (old.ids, old.dists))
+    assert not search.called
+    assert_same_territory(got, price_region(g, ids, phi))
+
+
+def test_seeded_pricing_rejects_a_disconnected_region():
+    # 3x3 grid, ids row-major; the ring's top middle cell joins its two columns
+    g = parse_grid("...\n...\n...\n")
+    phi = PhiWeights.uniform(9)
+    ring = price_region(g, np.array([0, 1, 2, 3, 5, 6, 8]), phi)
+    whole = price_region(g, np.arange(9), phi)
+    for seed in ((ring.ids, ring.dists), (whole.ids, whole.dists)):
+        for ids in ([0, 2, 3, 5, 6, 8], [0, 3, 6, 8], [0, 3, 6, 5]):
+            with pytest.raises(PartitionError, match="disconnected"):
+                price_region(g, np.array(ids, dtype=np.int64), phi, seed)
+
+
+def test_seed_matrix_is_only_a_hint():
+    # off uniform weights the seed is ignored; on them a wrong seed still
+    # prices the region exactly, here all zeros, too small everywhere
+    rng = random.Random(11)
+    n, edges = random_off_lattice_graph(rng, 9)
+    grid = parse_grid("....\n.#..\n....\n")
+    for g in (WeightedGraph(n, edges), grid):
+        phi = PhiWeights([off_lattice(rng) for _ in range(g.n)])
+        ids = np.arange(g.n)
+        zeros = (ids, np.zeros((g.n, g.n), dtype=np.uint8))
+        assert_same_territory(price_region(g, ids, phi, zeros), price_region(g, ids, phi))

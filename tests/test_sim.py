@@ -8,6 +8,9 @@ from hypothesis import strategies as st
 
 from conftest import SPLIT_ZIGZAG, partition_from_regions
 from util_oracle import ReferenceMotion, off_lattice, random_off_lattice_graph
+import gossipcover.exchange as exchange_module
+import gossipcover.graph as graph_module
+import gossipcover.partition as partition_module
 import gossipcover.sim as sim
 from gossipcover import (
     GOSSIP_COVERAGE,
@@ -782,3 +785,37 @@ def test_repeated_meetings_after_optimum_change_nothing():
     assert world.exchange_count == 1
     assert world.meeting_count > 1
     assert world.current_cost() == 1.0
+
+
+# ---- region matrices ----
+
+
+@pytest.mark.parametrize("algorithm", [GOSSIP_COVERAGE, GOSSIP_LLOYD])
+def test_run_searches_region_matrices_only_for_the_start(monkeypatch, algorithm):
+    # an adopted exchange prices its regions from the matrices the meeting
+    # holds: the scan's union matrix, or the robots' old Territories
+    graph = parse_grid(
+        "..........\n"
+        "..##..##..\n"
+        "..........\n"
+        "....##....\n"
+        "..........\n"
+        "..##..##..\n"
+        "..........\n"
+    )
+    searched = []
+
+    def counted(graph, ids):
+        searched.append(len(ids))
+        return region_distance_matrix(graph, ids)
+
+    for module in (graph_module, partition_module, exchange_module):
+        monkeypatch.setattr(module, "region_distance_matrix", counted)
+    phi = PhiWeights.uniform(graph.n)
+    start = voronoi_partition(graph, random.Random(3).sample(range(graph.n), 5))
+    config = SimConfig(
+        speed=0.5, r_comm=2.5, lambda_comm=0.5, tau=1.0, dt=0.5, seed=4, convergence_window=5.0
+    )
+    trace = run(graph, start, phi, config, algorithm=algorithm)
+    assert trace.converged and trace.exchange_count > 0
+    assert searched == [len(region) for region in start.regions()]
