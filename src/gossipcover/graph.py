@@ -373,10 +373,10 @@ def seeded_region_hops(
     mat = hops[:m]
     at = np.minimum(np.searchsorted(seed_ids, ids), seed_ids.size - 1)
     gained = np.flatnonzero(seed_ids[at] != ids)
-    copied = seed_hops.take(at, axis=0).take(at, axis=1)
-    if copied.dtype.kind == "f" or copied.dtype.itemsize > 2:
-        copied = np.minimum(copied, UNREACHED_HOPS)
-    mat[:] = copied
+    shared = seed_hops.take(at, axis=0).take(at, axis=1)
+    np.minimum(shared, np.uint16(UNREACHED_HOPS), out=mat, casting="unsafe")
+    # a union seed's copy is float64: free it before the check allocates
+    del shared
     mat[gained] = UNREACHED_HOPS
     mat[:, gained] = UNREACHED_HOPS
     np.fill_diagonal(mat, 0)
@@ -402,9 +402,9 @@ def seeded_region_hops(
 def _bellman(hops: np.ndarray, nbrs: np.ndarray) -> np.ndarray:
     """Per row of nbrs, 1 + the minimum of the rows of hops it lists,
     saturating at UNREACHED_HOPS."""
-    best = hops[nbrs[:, 0]]
+    best = hops.take(nbrs[:, 0], axis=0)
     for k in range(1, nbrs.shape[1]):
-        np.minimum(best, hops[nbrs[:, k]], out=best)
+        np.minimum(best, hops.take(nbrs[:, k], axis=0), out=best)
     np.minimum(best, UNREACHED_HOPS - 1, out=best)
     best += 1
     return best
