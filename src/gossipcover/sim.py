@@ -8,8 +8,9 @@ clock (thinned per step to firing probability 1 - exp(-lambda*dt))
 triggers a pairwise territory exchange. Time advances in fixed dt
 steps: each step first handles the motion events due in it (arrivals at
 path vertices and ends of waits), then resolves at most one meeting per
-robot. Exchanges take zero simulated time; a robot whose vertex is traded away walks the
-full graph back to its territory before resuming the protocol.
+robot. Exchanges take zero simulated time; a robot whose vertex is
+traded away walks the full graph back to its territory before resuming
+the protocol.
 
 Motion runs on an exact event schedule. A wait lasts the number of
 steps in which tau, less dt per step, stays positive; it is counted once
@@ -35,10 +36,9 @@ pairwise rule seeds both sides with the scan's union matrix, and a Lloyd
 move seeds each robot's new region with the matrix of its old Territory.
 Meetings, convergence checks, trips and repairs read their regions from
 the record: the exchange scan takes its incumbent from the cache and,
-on uniform-weight graphs, composes the
-union's distance matrix from the two cached ones, and a trip walks back
-along the cached matrix row of the robot's vertex instead of searching
-its region. A meeting of a pair that the rule already left unchanged
+on uniform-weight graphs, composes the union's distance matrix from the
+two cached ones, and a trip walks back along the cached matrix row of
+the robot's vertex instead of searching its region. A meeting of a pair that the rule already left unchanged
 at the same regions, at a meeting or in a convergence check, or whose
 regions share no graph edge (neither rule can move a vertex there), is
 counted but not evaluated; the convergence check skips the former. The
