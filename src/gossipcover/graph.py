@@ -387,15 +387,19 @@ def seeded_region_hops(
             mat[gained] = rows
             mat[:, gained] = rows.T
         for g in gained.tolist():
-            through = np.add(mat[:, g, None], mat[g], dtype=np.int32)
-            np.minimum(mat, through, out=mat, casting="unsafe")
+            # clamped to half the sentinel, a sum fits uint16; a sum that
+            # used the clamp may be no path length, and the check finds it
+            to_g = np.minimum(mat[:, g], UNREACHED_HOPS // 2)
+            from_g = np.minimum(mat[g], UNREACHED_HOPS // 2)
+            np.minimum(mat, to_g[:, None] + from_g, out=mat)
     best = _bellman(hops, nbrs)
     np.fill_diagonal(best, 0)
     failed = np.flatnonzero((best != mat).any(axis=0))
+    del best
     if failed.size:
         sub = _induced_csr(graph, ids)
         rows = _csgraph_dijkstra(sub, directed=True, indices=failed, unweighted=True)
-        mat[:, failed] = np.minimum(rows, UNREACHED_HOPS).T
+        mat[:, failed] = np.minimum(rows, UNREACHED_HOPS, out=rows).T
     return mat
 
 

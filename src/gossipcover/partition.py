@@ -220,8 +220,11 @@ def _center_costs(
         raise PartitionError("region has out-of-range vertices")
     if seed is not None and graph.uniform_weights and ids.size < UNREACHED_HOPS:
         hops = seeded_region_hops(graph, ids, *seed)
-        if hops.max() == UNREACHED_HOPS:
+        top = int(hops.max())
+        if top == UNREACHED_HOPS:
             raise PartitionError("region is disconnected")
+        # price_region's compact type, taken first to keep the peak down
+        hops = hops.astype(np.min_scalar_type(top), copy=False)
         return hops, hops.astype(np.float64) @ phi.values[ids]
     dmat = region_distance_matrix(graph, ids)
     if np.any(np.isinf(dmat)):
