@@ -16,7 +16,6 @@ from .graph import (
     is_connected,
     load_edge_list,
     load_environment,
-    load_grid,
     one_to_all,
     parse_edge_list,
     parse_grid,

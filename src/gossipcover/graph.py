@@ -9,10 +9,8 @@ row-major scan order over free cells.
 
 from __future__ import annotations
 
-import heapq
 import math
 import os
-from collections import deque
 from importlib import resources
 from itertools import chain
 from typing import Iterable, Iterator, ItemsView, Optional, Sequence
@@ -162,26 +160,26 @@ class WeightedGraph:
         key = (v, radius)
         ball = self._ball_cache.get(key)
         if ball is None:
-            dist = np.full(self.n, UNREACHABLE)
-            _dijkstra_into(self, None, v, dist, limit=radius)
+            # on the meter weights, not hop counts; scipy leaves the vertices
+            # beyond the limit at UNREACHABLE
+            dist = _csgraph_dijkstra(self.csr(), directed=True, indices=v, limit=radius)
             ball = frozenset(np.flatnonzero(dist < radius).tolist())
             self._ball_cache[key] = ball
         return ball
 
 
-def _outside_mask(graph: WeightedGraph, region: Optional[Iterable[int]]) -> Optional[bytearray]:
-    """1 for each vertex outside the region; None when region is None."""
-    if region is None:
-        return None
-    ids = np.asarray(region if isinstance(region, np.ndarray) else list(region), dtype=np.int64)
+def _region_ids(graph: WeightedGraph, region: Iterable[int]) -> np.ndarray:
+    """The region as sorted unique int64 ids; raises ValueError when it is
+    empty or names a vertex outside 0..n-1."""
+    ids = np.unique(
+        np.asarray(region if isinstance(region, np.ndarray) else list(region), dtype=np.int64)
+    )
     if ids.size == 0:
         raise ValueError("region is empty")
     bad = ids[(ids < 0) | (ids >= graph.n)]
     if bad.size:
         raise ValueError(f"region vertex {bad[0]} out of range")
-    outside = np.ones(graph.n, dtype=np.uint8)
-    outside[ids] = 0
-    return bytearray(outside.tobytes())
+    return ids
 
 
 def one_to_all(
@@ -194,65 +192,24 @@ def one_to_all(
     float64 (meters = hops * unit_weight), which keeps sums and ties
     exact; general weights give Dijkstra distances accumulated edge by
     edge. Vertices outside the region or unreached stay at UNREACHABLE.
-    Whole-graph searches run in scipy, region searches in Python.
+    A region search runs scipy's dijkstra on the induced subgraph and
+    scatters its row into a vector over the whole graph.
     """
-    outside = _outside_mask(graph, region)
+    ids = None if region is None else _region_ids(graph, region)
     if not 0 <= source < graph.n:
         raise ValueError(f"source {source} out of range")
-    if outside is None:
+    if ids is None:
         return _csgraph_dijkstra(
             graph.csr(), directed=True, indices=source, unweighted=graph.uniform_weights
         )
-    if outside[source]:
+    at = int(np.searchsorted(ids, source))
+    if at == ids.size or ids[at] != source:
         raise ValueError(f"source {source} not in region")
     dist = np.full(graph.n, UNREACHABLE)
-    if graph.uniform_weights:
-        _bfs_into(graph, outside, source, dist)
-    else:
-        _dijkstra_into(graph, outside, source, dist)
+    dist[ids] = _csgraph_dijkstra(
+        _induced_csr(graph, ids), directed=True, indices=at, unweighted=graph.uniform_weights
+    )
     return dist
-
-
-def _bfs_into(
-    graph: WeightedGraph, outside: Optional[bytearray], source: int, dist: np.ndarray
-) -> None:
-    adj = graph._adj
-    # blocked: outside the region or already reached; takes over `outside`
-    blocked = bytearray(graph.n) if outside is None else outside
-    blocked[source] = 1
-    dist[source] = 0.0
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        du = dist[u] + 1.0
-        for v in adj[u]:
-            if not blocked[v]:
-                blocked[v] = 1
-                dist[v] = du
-                queue.append(v)
-
-
-def _dijkstra_into(
-    graph: WeightedGraph,
-    outside: Optional[bytearray],
-    source: int,
-    dist: np.ndarray,
-    limit: float = UNREACHABLE,
-) -> None:
-    # vertices at limit or beyond are never settled and stay UNREACHABLE
-    adj = graph._adj
-    dist[source] = 0.0
-    heap = [(0.0, source)]
-    while heap:
-        d, u = heapq.heappop(heap)
-        if d > dist[u]:
-            continue
-        for v, w in adj[u].items():
-            if outside is None or not outside[v]:
-                nd = d + w
-                if nd < dist[v] and nd < limit:
-                    dist[v] = nd
-                    heapq.heappush(heap, (nd, v))
 
 
 def shortest_path(
@@ -292,14 +249,12 @@ def _walk_back(graph: WeightedGraph, dist: np.ndarray, frm: int, to: int) -> lis
 
 
 def is_connected(graph: WeightedGraph, region: Iterable[int]) -> bool:
-    """True when the induced subgraph is connected and nonempty."""
+    """True when the induced subgraph is nonempty and the one_to_all row
+    from its lowest id reaches every vertex of it."""
     ids = np.asarray(region if isinstance(region, np.ndarray) else list(region), dtype=np.int64)
     if ids.size == 0:
         return False
-    outside = _outside_mask(graph, ids)
-    # _bfs_into marks each vertex it reaches in outside
-    _bfs_into(graph, outside, int(ids.min()), np.full(graph.n, UNREACHABLE))
-    return 0 not in outside
+    return bool(np.isfinite(one_to_all(graph, ids, int(ids.min()))[ids]).all())
 
 
 def _induced_csr(graph: WeightedGraph, ids: np.ndarray) -> csr_matrix:
@@ -465,11 +420,6 @@ def parse_grid(text: str) -> WeightedGraph:
     for (r, c), u in ids.items():
         coords[u] = ((c + 0.5) * resolution, (r + 0.5) * resolution)
     return WeightedGraph(len(ids), edges, coords=coords)
-
-
-def load_grid(path: str) -> WeightedGraph:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_grid(fh.read())
 
 
 def parse_edge_list(text: str) -> WeightedGraph:

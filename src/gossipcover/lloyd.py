@@ -51,13 +51,14 @@ def gossip_lloyd_exchange(
     region_i = partition.region(i)
     union = np.union1d(region_i, partition.region(j))
     ci, cj = (int(c) for c in centers)
-    if ci == cj or not np.isin([ci, cj], union).all():
+    owner = partition.owner
+    if ci == cj or not all(0 <= c < owner.size and owner[c] in (i, j) for c in (ci, cj)):
         raise PartitionError("Lloyd centers must be two distinct vertices of the region union")
-    owner = _nearest_generator(graph, (ci, cj) if i < j else (cj, ci), union)
-    side_i = np.flatnonzero(owner == (0 if i < j else 1))
+    nearest = _nearest_generator(graph, (ci, cj) if i < j else (cj, ci), union)
+    side_i = np.flatnonzero(nearest == (0 if i < j else 1))
     if np.array_equal(side_i, region_i):
         return partition
-    return partition.replace({i: side_i, j: np.flatnonzero(owner == (1 if i < j else 0))})
+    return partition.replace({i: side_i, j: np.flatnonzero(nearest == (1 if i < j else 0))})
 
 
 def _priced_round(

@@ -13,7 +13,6 @@ from gossipcover import (
     PhiWeights,
     SimConfig,
     chernoff_samples,
-    h_exp,
     histogram_bins,
     lowest_bin_fraction,
     parse_grid,

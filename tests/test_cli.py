@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from conftest import GRID_2X5, partition_from_regions

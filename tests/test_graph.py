@@ -22,13 +22,11 @@ from gossipcover import (
     parse_grid,
     shortest_path,
 )
-from gossipcover.graph import (
-    _bfs_into,
-    _dijkstra_into,
-    region_distance_matrix,
-)
+from gossipcover.graph import region_distance_matrix
 
 from util_oracle import (
+    bfs_into,
+    dijkstra_into,
     floyd_warshall,
     grid_edges,
     induced_distances,
@@ -174,8 +172,8 @@ def test_bfs_dijkstra_agree_exactly():
         src = rng.randrange(n)
         d_bfs = np.full(n, UNREACHABLE)
         d_dij = np.full(n, UNREACHABLE)
-        _bfs_into(g, None, src, d_bfs)
-        _dijkstra_into(hop_graph, None, src, d_dij)
+        bfs_into(g, None, src, d_bfs)
+        dijkstra_into(hop_graph, None, src, d_dij)
         assert np.array_equal(d_bfs, d_dij)  # hop counts, whatever the weight
 
 
@@ -309,13 +307,24 @@ def test_whole_graph_one_to_all_equals_python_search(rng, n, uniform):
     if uniform:
         edges = [(u, v, 0.6) for u, v, _ in edges]
     g = WeightedGraph(n, edges)
+    search = bfs_into if g.uniform_weights else dijkstra_into
     for src in range(n):
         expected = np.full(n, UNREACHABLE)
-        (_bfs_into if g.uniform_weights else _dijkstra_into)(g, None, src, expected)
+        search(g, None, src, expected)
         dist = one_to_all(g, None, src)
         assert dist.dtype == expected.dtype and np.array_equal(dist, expected)
     with pytest.raises(ValueError, match="out of range"):
         one_to_all(g, None, n)
+    # a random region, searched by the loop with the rest of the graph masked
+    region = sorted(rng.sample(range(n), rng.randint(1, n)))
+    for src in region:
+        outside = bytearray([1]) * n
+        for v in region:
+            outside[v] = 0
+        expected = np.full(n, UNREACHABLE)
+        search(g, outside, src, expected)
+        dist = one_to_all(g, region, src)
+        assert dist.dtype == expected.dtype and np.array_equal(dist, expected)
 
 
 def test_edge_weight_lookup():

@@ -182,6 +182,10 @@ def test_exchange_rejects_centers_outside_union():
         gossip_lloyd_exchange(PATH5, part, 0, 1, uniform(5), (0, 3))
     with pytest.raises(PartitionError):
         gossip_lloyd_exchange(PATH5, part, 0, 1, uniform(5), (2, 2))
+    # ids outside 0..n-1; -1 would index vertex 4, which robot 2 owns
+    for centers in [(-1, 3), (3, -1), (3, 5), (5, 3)]:
+        with pytest.raises(PartitionError):
+            gossip_lloyd_exchange(PATH5, part, 1, 2, uniform(5), centers)
 
 
 def test_fixed_point_prices_each_cell_once(monkeypatch):

@@ -1,7 +1,9 @@
-"""Every name a package module imports is used in that module.
+"""Every name a package module or a test module imports is used in that
+module.
 
 No linter ships with the project, so this stdlib check stands in for
-one. `__init__.py` is exempt: its imports are the package's re-exports.
+one. The package's `__init__.py` is exempt: its imports are the
+package's re-exports.
 """
 
 import ast
@@ -9,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "gossipcover"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "gossipcover"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -37,3 +40,8 @@ def test_checker_flags_an_unused_import():
 )
 def test_package_module_has_no_unused_imports(module):
     assert unused_imports((PACKAGE / module).read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in TESTS.glob("*.py")))
+def test_test_module_has_no_unused_imports(module):
+    assert unused_imports((TESTS / module).read_text(encoding="utf-8")) == []

@@ -1,9 +1,9 @@
 """Independent reference implementations for cross-checking results.
 
 Everything here recomputes expected values from scratch: Floyd-Warshall
-distances, exhaustive two-center search, plain set connectivity. None
-of it imports the package under test, so agreement between the two
-routes is meaningful.
+distances, plain BFS and Dijkstra loops, exhaustive two-center search,
+plain set connectivity. None of it imports the package under test, so
+agreement between the two routes is meaningful.
 
 Random instance generators keep all edge weights and phi values on a
 0.25 lattice; sums and products of such values are exact in float64,
@@ -12,8 +12,9 @@ draw them from [0.05, 3] instead, where sums taken in different orders
 can differ in the last bit.
 """
 
+import heapq
 import math
-import random
+from collections import deque
 
 INF = math.inf
 
@@ -127,6 +128,47 @@ def oracle_pairwise_optimal(n, edges, region_a, region_b, phi):
     _, cost_b = oracle_centroid(n, edges, region_b, phi)
     best, _ = oracle_two_center(n, edges, sorted(set(region_a) | set(region_b)), phi)
     return cost_a + cost_b <= best
+
+
+# ---- single-source searches over a WeightedGraph's adjacency ----
+
+
+def bfs_into(graph, outside, source, dist):
+    """Hop counts from source into dist (float64, preset to INF), walking
+    graph._adj; outside is None or a bytearray with 1 for each vertex the
+    search may not enter, and it is overwritten."""
+    adj = graph._adj
+    # blocked: outside the region or already reached; takes over `outside`
+    blocked = bytearray(graph.n) if outside is None else outside
+    blocked[source] = 1
+    dist[source] = 0.0
+    queue = deque([source])
+    while queue:
+        u = queue.popleft()
+        du = dist[u] + 1.0
+        for v in adj[u]:
+            if not blocked[v]:
+                blocked[v] = 1
+                dist[v] = du
+                queue.append(v)
+
+
+def dijkstra_into(graph, outside, source, dist):
+    """Distances from source into dist (float64, preset to INF), summed
+    edge by edge along graph._adj; outside is as in bfs_into."""
+    adj = graph._adj
+    dist[source] = 0.0
+    heap = [(0.0, source)]
+    while heap:
+        d, u = heapq.heappop(heap)
+        if d > dist[u]:
+            continue
+        for v, w in adj[u].items():
+            if outside is None or not outside[v]:
+                nd = d + w
+                if nd < dist[v]:
+                    dist[v] = nd
+                    heapq.heappush(heap, (nd, v))
 
 
 # ---- random instance generators (0.25-lattice values stay exact) ----
