@@ -224,20 +224,21 @@ def shortest_path(
     dist = one_to_all(graph, region, frm)
     if not (0 <= to < graph.n and dist[to] != UNREACHABLE):
         raise ValueError(f"no path from {frm} to {to} within region")
-    return _walk_back(graph, dist, frm, to)
+    return _walk_back(graph, dist.tolist(), range(graph.n), frm, to)
 
 
-def _walk_back(graph: WeightedGraph, dist: np.ndarray, frm: int, to: int) -> list[int]:
-    """The lowest-id predecessor path from frm to a reached vertex to,
-    given the one_to_all row dist of frm."""
-    hop = graph.uniform_weights
+def _walk_back(graph: WeightedGraph, row: list, at: dict | range, frm: int, to: int) -> list[int]:
+    """The lowest-id predecessor path from frm to a reached vertex to, given
+    frm's one_to_all distances as a list and the position in it of each
+    vertex it holds (range(n) for a whole row); other vertices are unreached."""
+    adj, hop = graph._adj, graph.uniform_weights
     path = [to]
     v = to
     while v != frm:
-        best = -1
-        # vertices outside the region are UNREACHABLE, so they never match
-        for u, w in graph.neighbors(v):
-            if dist[u] + (1.0 if hop else w) == dist[v]:
+        best, d = -1, row[at[v]]
+        # vertices outside the region are missing or UNREACHABLE, so they never match
+        for u, w in adj[v].items():
+            if u in at and row[at[u]] + (1.0 if hop else w) == d:
                 if best < 0 or u < best:
                     best = u
         if best < 0:

@@ -18,11 +18,12 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from .graph import (
     UNREACHED_HOPS,
     WeightedGraph,
-    is_connected,
     one_to_all,
     region_distance_matrix,
     seeded_region_hops,
@@ -144,11 +145,19 @@ class Partition:
             )
         if self.owner.min() < 0 or self.owner.max() >= self.n_robots:
             raise PartitionError("owner ids outside 0..N-1")
+        # a region is connected when it spans one piece of the graph less its cut edges
+        csr, owner = graph.csr(), self.owner
+        keep = np.repeat(owner, np.diff(csr.indptr)) == owner[csr.indices]
+        indptr = np.r_[0, np.cumsum(keep)][csr.indptr]
+        inside = csr_matrix((csr.data[keep], csr.indices[keep], indptr), shape=csr.shape)
+        count, piece = connected_components(inside, directed=True, connection="strong")
+        piece_owner = np.empty(count, dtype=np.int64)
+        piece_owner[piece] = owner
+        spans = np.bincount(piece_owner, minlength=self.n_robots)
         for i in range(self.n_robots):
-            ids = self.region(i)
-            if ids.size == 0:
+            if spans[i] == 0:
                 raise PartitionError(f"robot {i} owns no vertices")
-            if not is_connected(graph, ids):
+            if spans[i] > 1:
                 raise PartitionError(f"region of robot {i} is disconnected")
 
 

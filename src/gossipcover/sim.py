@@ -12,39 +12,43 @@ robot. Exchanges take zero simulated time; a robot whose vertex is
 traded away walks the full graph back to its territory before resuming
 the protocol.
 
-Motion runs on an exact event schedule. A wait lasts the number of
-steps in which tau, less dt per step, stays positive; it is counted once
-per World. When a trip starts, the per-step motion recurrence (each step
+Motion runs on an exact event schedule. A wait lasts the number of steps
+in which tau, less dt per step, stays positive; it is counted once per
+World. When a trip starts, the per-step motion recurrence (each step
 brings speed * dt meters, spent edge by edge; what is left at the end of
 the trip is dropped) runs once over its whole path and keeps the step at
-which each vertex is reached. A step then touches only the robots with
-an event due, in robot index order, so the random draws keep their
-order; the floating-point operations are those of a step-by-step walk,
-in the same order, only done earlier. One pass of either recurrence
-looks at most PLAN_STEPS steps ahead; a longer wait or trip resumes its
-recurrence when that step comes, so a crawling robot or a very long
-wait costs no more than stepping it would.
+which each vertex is reached; an edge crossing from progress 0.0 depends
+only on the budget left and the weight, so the first one of each kind is
+kept and read back. A step then touches only the robots with an event
+due, in robot index order, so the random draws keep their order; the
+floating-point operations are those of a step-by-step walk, in the same
+order, only done earlier. One pass of either recurrence looks at most
+PLAN_STEPS steps ahead; a longer wait or trip resumes its recurrence
+when that step comes, so a crawling robot or a very long wait costs no
+more than stepping it would.
 
 Each robot's record is its region's Territory (sorted ids, centroid,
-cost, and the region distance matrix that priced it) plus its
-destination candidates. One helper writes it, at the start and for the
-two robots of an adopted exchange, from the Territories the rule built
-to price the new regions. On uniform-weight graphs only the start
-searches region matrices from scratch: a new region is priced from a
-matrix the meeting already holds (partition.price_region's seed). The
-pairwise rule seeds both sides with the scan's union matrix, and a Lloyd
-move seeds each robot's new region with the matrix of its old Territory.
-Meetings, convergence checks, trips and repairs read their regions from
-the record: the exchange scan takes its incumbent from the cache and,
-on uniform-weight graphs, composes the union's distance matrix from the
-two cached ones, and a trip walks back along the cached matrix row of
-the robot's vertex instead of searching its region. A meeting of a pair that the rule already left unchanged
-at the same regions, at a meeting or in a convergence check, or whose
-regions share no graph edge (neither rule can move a vertex there), is
-counted but not evaluated; the convergence check skips the former. The
-set of in-range pairs changes only by retesting the pairs of the robots
-that reached a vertex in the step, and its row-major list is rebuilt
-only when one of those pairs entered or left range.
+cost, and the region distance matrix that priced it), its vertices'
+positions in the ids, and its destination candidates. One helper writes
+it, at the start and for the two robots of an adopted exchange, from the
+Territories the rule built to price the new regions. On uniform-weight
+graphs only the start searches region matrices from scratch: a new
+region is priced from a matrix the meeting already holds
+(partition.price_region's seed). The pairwise rule seeds both sides with
+the scan's union matrix, and a Lloyd move seeds each robot's new region
+with the matrix of its old Territory. Meetings, convergence checks,
+trips and repairs read their regions from the record: the exchange scan
+takes its incumbent from the cache and, on uniform-weight graphs,
+composes the union's distance matrix from the two cached ones, and a
+trip walks back along the cached matrix row of the robot's vertex
+instead of searching its region. A meeting of a pair that the rule
+already left unchanged at the same regions, at a meeting or in a
+convergence check, or whose regions share no graph edge (neither rule
+can move a vertex there), is counted but not evaluated; the convergence
+check skips the former. The set of in-range pairs changes only by
+retesting the pairs of the robots that reached a vertex in the step; its
+row-major list is rebuilt only when one of those pairs entered or left
+range, and a step with no pair in range skips the meeting pass.
 
 Everything is driven by one seeded random.Random stream, so a run is a
 pure function of (graph, partition, phi, config).
@@ -61,7 +65,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .exchange import ExchangeBudget, pairwise_exchange
-from .graph import UNREACHABLE, WeightedGraph, _walk_back, one_to_all
+from .graph import WeightedGraph, _walk_back, one_to_all
 from .lloyd import gossip_lloyd_exchange, is_gossip_lloyd_fixed_point
 from .partition import (
     Partition,
@@ -231,9 +235,10 @@ class World:
         self._fire_prob = 1.0 - math.exp(-config.lambda_comm * config.dt)
 
         n_robots = self.partition.n_robots
-        # per robot: the Territory of its current region and its
-        # destination candidates, written only by _write_record
+        # per robot: its region's Territory, each region vertex's position in
+        # its ids and its destination candidates, written only by _write_record
         self._territories: list[Optional[Territory]] = [None] * n_robots
+        self._positions: list[dict[int, int]] = [{}] * n_robots
         self._destinations: list[list[int]] = [[]] * n_robots
         regions = self.partition.regions()
         _write_record(self, range(n_robots), [price_region(graph, r, phi) for r in regions])
@@ -260,6 +265,8 @@ class World:
         self._step = 0
         self._budget = config.speed * config.dt
         self._wait = _count_down(config.tau, config.dt)
+        # (budget, weight) -> (steps, budget after) of crossings from progress 0.0
+        self._crossings: dict[tuple[float, float], tuple[int, float]] = {}
         self._due = [0] * n_robots
         self._arrivals: list[list[int]] = [[] for _ in range(n_robots)]
         self._resume: list[Optional[tuple]] = [None] * n_robots
@@ -284,6 +291,7 @@ def _write_record(world: World, robots: Sequence[int], territories: Sequence[Ter
     re-sum the expected cost: the one writer of the per-robot record."""
     for k, territory in zip(robots, territories):
         world._territories[k] = territory
+        world._positions[k] = {v: at for at, v in enumerate(territory.ids.tolist())}
         world._destinations[k] = destination_candidates(
             world.graph, territory.ids, world.config.destination_mode
         )
@@ -341,28 +349,38 @@ def _plan_trip(world: World, robot: RobotState) -> None:
     step brings a budget of speed * dt meters, spent edge by edge until the
     path ends or the budget runs out mid-edge. Keep the step at which each
     vertex is reached, and schedule the robot's next event."""
-    k, per_step = robot.id, world._budget
+    k, per_step, crossings = robot.id, world._budget, world._crossings
+    weight = world.graph.edge_weight
     arrivals = world._arrivals[k]
     step, budget, progress = world._resume[k]
     stop = step + PLAN_STEPS
     u = robot.current_vertex
     for v in robot.path:
-        w = world.graph.edge_weight(u, v)
-        need = w - progress
-        # an edge is crossed only with budget to spend, so a progress that
-        # rounded up to w waits for the next step
-        while budget < need or budget == 0.0:
-            # adding a spent (zero) budget leaves the progress as it is
-            progress += budget
-            if step == stop:
-                world._resume[k] = (step, 0.0, progress)
-                _schedule(world, k, arrivals[0] if arrivals else step)
-                return
-            step += 1
-            budget = per_step
-            need = w - progress
-        budget -= need
-        progress = 0.0
+        w = weight(u, v)
+        # a crossing from progress 0.0 depends only on (budget, w): the
+        # first one that ends within this pass is kept and read back later
+        key = (budget, w) if progress == 0.0 else None
+        known = crossings.get(key)
+        if known is not None and step + known[0] <= stop:
+            step, budget = step + known[0], known[1]
+        else:
+            start, need = step, w - progress
+            # an edge is crossed only with budget to spend, so a progress
+            # that rounded up to w waits for the next step
+            while budget < need or budget == 0.0:
+                # adding a spent (zero) budget leaves the progress as it is
+                progress += budget
+                if step == stop:
+                    world._resume[k] = (step, 0.0, progress)
+                    _schedule(world, k, arrivals[0] if arrivals else step)
+                    return
+                step += 1
+                budget = per_step
+                need = w - progress
+            budget -= need
+            progress = 0.0
+            if key is not None:
+                crossings[key] = (step - start, budget)
         arrivals.append(step)
         u = v
     world._resume[k] = None
@@ -377,10 +395,10 @@ def _choose_destination(world: World, robot: RobotState) -> None:
         return
     # the cached matrix row of the robot's vertex is its one_to_all row in
     # the region, so the walk gives the path shortest_path would
-    territory = world._territories[robot.id]
-    dist = np.full(world.graph.n, UNREACHABLE)
-    dist[territory.ids] = territory.dists[np.searchsorted(territory.ids, robot.current_vertex)]
-    _start_trip(world, robot, _walk_back(world.graph, dist, robot.current_vertex, dest)[1:], MOVING)
+    positions = world._positions[robot.id]
+    row = world._territories[robot.id].dists[positions[robot.current_vertex]].tolist()
+    path = _walk_back(world.graph, row, positions, robot.current_vertex, dest)
+    _start_trip(world, robot, path[1:], MOVING)
     _record(world, DEPARTURE, robot.id, None, motion=True)
 
 
@@ -427,33 +445,34 @@ def eligible_pairs(world: World) -> list[tuple[int, int]]:
 def _retest_pairs(world: World, moved: Sequence[int]) -> None:
     """Bring the in-range pairs up to date after the robots in moved
     changed vertex; only their pairs can have entered or left range."""
-    at = [robot.current_vertex for robot in world.robots]
-    balls, near = world._balls, world._near
+    robots, balls, near = world.robots, world._balls, world._near
+    neighborhood, r_comm = world.graph.neighborhood, world.config.r_comm
     changed = False
     for k in moved:
-        v = at[k]
-        ball = balls[k] = world.graph.neighborhood(v, world.config.r_comm)
+        v = robots[k].current_vertex
+        ball = balls[k] = neighborhood(v, r_comm)
         # each pair is tested from its lower-indexed robot's ball
-        row = [v in b for b in balls[:k]] + [False] + [u in ball for u in at[k + 1 :]]
+        after = [r.current_vertex in ball for r in robots[k + 1 :]]
+        row = [v in b for b in balls[:k]] + [False] + after
         if row != near[k]:
             near[k] = row
             for i, inside in enumerate(row):
                 near[i][k] = inside
             changed = True
     if changed:
-        n = len(at)
+        n = len(robots)
         world._pairs = [(i, j) for i in range(n - 1) for j in range(i + 1, n) if near[i][j]]
 
 
 def _repair_robot(world: World, robot: RobotState) -> None:
     """Restore protocol invariants for a robot after its region changed."""
-    region = world._territories[robot.id].ids
-    members = set(region.tolist())
+    members = world._positions[robot.id]
     if robot.current_vertex not in members:
-        dist = one_to_all(world.graph, None, robot.current_vertex)
-        target = int(region[np.argmin(dist[region])])
-        path = _walk_back(world.graph, dist, robot.current_vertex, target)[1:]
-        _start_trip(world, robot, path, RELOCATING)
+        row = one_to_all(world.graph, None, robot.current_vertex).tolist()
+        # the first of the nearest region vertices in id order
+        target = min(members, key=row.__getitem__)
+        path = _walk_back(world.graph, row, range(world.graph.n), robot.current_vertex, target)
+        _start_trip(world, robot, path[1:], RELOCATING)
         return
     if robot.mode == WAITING:
         return
@@ -464,8 +483,9 @@ def _repair_robot(world: World, robot: RobotState) -> None:
 
 def _regions_touch(world: World, i: int, j: int) -> bool:
     """True when the regions of robots i and j share a graph edge."""
-    tails, heads = world.partition.owner[world.graph.edge_ends()]
-    return bool(np.any(((tails == i) & (heads == j)) | ((tails == j) & (heads == i))))
+    nbrs = world.graph.neighbor_table()[world._territories[i].ids]
+    # the table pads its rows with n, which is no vertex and has no owner
+    return bool((world.partition.owner[nbrs[nbrs < world.graph.n]] == j).any())
 
 
 def _apply_meeting(world: World, i: int, j: int) -> None:
@@ -490,7 +510,8 @@ def _apply_meeting(world: World, i: int, j: int) -> None:
                 price_region(graph, new_partition.region(k), phi, (old.ids, old.dists))
                 for k, old in zip((i, j), priced)
             ]
-            state = budget  # a Lloyd move leaves the pair open
+            # the split depends only on (union, centers): kept centers end the pair
+            state = None if (priced[0].centroid, priced[1].centroid) == centers else budget
     else:
         positions = (world.robots[i].current_vertex, world.robots[j].current_vertex)
         new_partition, result, priced = pairwise_exchange(
@@ -519,6 +540,8 @@ def _apply_meeting(world: World, i: int, j: int) -> None:
 def _resolve_meetings(world: World) -> None:
     draw, prob = world.rng.random, world._fire_prob
     fired = [p for p in world._pairs if draw() < prob]
+    if not fired:
+        return
     consumed: set[int] = set()
     for i, j in fired:
         if i in consumed or j in consumed:
@@ -531,16 +554,15 @@ def _resolve_meetings(world: World) -> None:
 def step(world: World) -> World:
     """Advance the world one config.dt step: the motion events due, then meetings."""
     world.time += world.config.dt
-    world._step += 1
-    due = world._agenda.pop(world._step, None)
+    now = world._step = world._step + 1
+    due = world._agenda.pop(now, None)
     if due:
-        moved = [
-            k for k in sorted(due)
-            if world._due[k] == world._step and _handle_event(world, world.robots[k])
-        ]
+        scheduled, robots = world._due, world.robots
+        moved = [k for k in sorted(due) if scheduled[k] == now and _handle_event(world, robots[k])]
         if moved:
             _retest_pairs(world, moved)
-    _resolve_meetings(world)
+    if world._pairs:
+        _resolve_meetings(world)
     return world
 
 
@@ -592,12 +614,10 @@ def run(
     initial_cost = world.current_cost()
     # a lone robot has no pair to exchange with
     world.converged = world.partition.n_robots == 1
-    while not world.converged and world.time < config.max_time:
+    max_time, window = config.max_time, config.convergence_window
+    while not world.converged and world.time < max_time:
         step(world)
-        if (
-            not world._checked_since_change
-            and world.time - world.last_change_time >= config.convergence_window
-        ):
+        if not world._checked_since_change and world.time - world.last_change_time >= window:
             world._checked_since_change = True
             if _settled(world):
                 world.converged = True

@@ -19,6 +19,7 @@ from gossipcover import (
     h_multicenter,
     h_one,
     is_centroidal_voronoi,
+    is_connected,
     is_pairwise_optimal,
     parse_grid,
     parse_partition,
@@ -99,6 +100,37 @@ def test_partition_validate(grid2x5, reference_splits):
         Partition([0, 5, 0], 2).validate(path_graph(3))  # owner out of range
     with pytest.raises(PartitionError):
         Partition([0, 1, 0], 2).validate(path_graph(3))  # robot 0 disconnected
+
+
+def test_partition_validate_reports_the_lowest_bad_robot():
+    path5 = path_graph(5)
+    # robot 0 is split in two, robot 2 owns nothing
+    with pytest.raises(PartitionError, match="region of robot 0 is disconnected"):
+        Partition([0, 1, 0, 0, 0], 3).validate(path5)
+    # robot 0 owns nothing, robot 1 is split in two
+    with pytest.raises(PartitionError, match="robot 0 owns no vertices"):
+        Partition([1, 2, 1, 1, 1], 3).validate(path5)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rng=st.randoms(use_true_random=False), n=st.integers(1, 12), n_robots=st.integers(1, 5))
+def test_partition_validate_checks_each_region_as_is_connected_does(rng, n, n_robots):
+    n, edges = random_off_lattice_graph(rng, n) if n > 1 else (1, [])
+    g = WeightedGraph(n, edges)
+    part = Partition([rng.randrange(n_robots) for _ in range(n)], n_robots)
+    expected = None
+    for i in range(n_robots):
+        if part.region(i).size == 0:
+            expected = f"robot {i} owns no vertices"
+        elif not is_connected(g, part.region(i)):
+            expected = f"region of robot {i} is disconnected"
+        if expected:
+            break
+    if expected is None:
+        part.validate(g)
+    else:
+        with pytest.raises(PartitionError, match=f"^{expected}$"):
+            part.validate(g)
 
 
 def test_partition_file_roundtrip(reference_splits):

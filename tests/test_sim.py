@@ -22,6 +22,7 @@ from gossipcover import (
     SimConfig,
     WeightedGraph,
     World,
+    adjacency_edges,
     centroid,
     centroid_and_cost,
     eligible_pairs,
@@ -595,6 +596,131 @@ def test_crawling_robot_and_endless_wait_plan_a_bounded_number_of_steps_at_a_tim
     world._step = PLAN_STEPS - 1
     step(world)
     assert (world.robots[0].mode, world._due[0]) == (WAITING, 2 * PLAN_STEPS)
+
+
+def cross_edge(budget, w, per_step):
+    """The trip recurrence over one edge of weight w, from progress 0.0 with
+    budget left in the step: the steps it takes and the budget left after."""
+    steps, progress = 0, 0.0
+    while budget < w - progress or budget == 0.0:
+        progress += budget
+        steps, budget = steps + 1, per_step
+    return steps, budget - (w - progress)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    rng=st.randoms(use_true_random=False),
+    n=st.integers(3, 10),
+    uniform=st.booleans(),
+    reach=st.sampled_from([0.04, 0.5, 3.5]),
+    dt=st.sampled_from([0.3, 0.5, 0.7]),
+    plan_steps=st.sampled_from([PLAN_STEPS, 1, 3]),
+)
+def test_every_crossing_memo_entry_equals_a_fresh_recurrence(
+    rng, n, uniform, reach, dt, plan_steps
+):
+    n, edges = random_off_lattice_graph(rng, n)
+    if uniform:
+        edges = [(u, v, 0.6) for u, v, _ in edges]
+    g = WeightedGraph(n, edges)
+    phi = PhiWeights([off_lattice(rng) for _ in range(n)])
+    _, part = random_start(g, 3, rng.randrange(1000))
+    config = SimConfig(
+        speed=reach / dt, r_comm=g.max_edge_weight + rng.uniform(0.01, 3.0), lambda_comm=0.5,
+        tau=1.0, dt=dt, seed=rng.randrange(1000),
+    )
+    algorithm = rng.choice([GOSSIP_COVERAGE, GOSSIP_LLOYD])
+    real = sim.PLAN_STEPS
+    # a small PLAN_STEPS pauses crossings mid-edge
+    sim.PLAN_STEPS = plan_steps
+    try:
+        world = World(g, part, phi, config, algorithm=algorithm)
+        for _ in range(200):
+            step(world)
+    finally:
+        sim.PLAN_STEPS = real
+    if plan_steps == PLAN_STEPS and any(event.kind == "DEPARTURE" for event in world.events):
+        assert world._crossings
+    for (budget, w), known in world._crossings.items():
+        assert known == cross_edge(budget, w, world._budget)
+
+
+def test_crossing_paused_by_plan_steps_is_never_stored(monkeypatch):
+    # a quarter of the unit edge per step: each crossing takes four steps,
+    # one more than a pass of the recurrence may look ahead
+    monkeypatch.setattr(sim, "PLAN_STEPS", 3)
+    world = one_robot_world(tau=100.0)
+    robot = start_trip(world, [1, 2])
+    assert (world._arrivals[0], world._crossings) == ([], {})
+    for _ in range(8):
+        step(world)
+    assert (robot.current_vertex, world._crossings) == (2, {})
+    # a pass of five steps keeps the first crossing; the second is known,
+    # but would end past the pass, so the recurrence stops at the pass end
+    monkeypatch.setattr(sim, "PLAN_STEPS", 5)
+    begin = world._step
+    start_trip(world, [3, 4])
+    assert world._arrivals[0] == [begin + 4]
+    assert world._resume[0] == (begin + 5, 0.0, 0.25)
+    assert world._crossings == {(0.0, 1.0): (4, 0.0)}
+    for _ in range(8):
+        step(world)
+    assert (robot.current_vertex, world._crossings) == (4, {(0.0, 1.0): (4, 0.0)})
+    # planned in one pass, both crossings are read back
+    monkeypatch.setattr(sim, "PLAN_STEPS", PLAN_STEPS)
+    begin = world._step
+    start_trip(world, [3, 2])
+    assert world._arrivals[0] == [begin + 4, begin + 8]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rng=st.randoms(use_true_random=False),
+    n=st.integers(2, 14),
+    n_robots=st.integers(2, 6),
+)
+def test_regions_touch_matches_adjacency_edges(rng, n, n_robots):
+    n, edges = random_off_lattice_graph(rng, n)
+    g = WeightedGraph(n, edges)
+    _, part = random_start(g, min(n_robots, n), rng.randrange(1000))
+    world = World(g, part, PhiWeights.uniform(n), quiet_config(r_comm=g.max_edge_weight + 1.0))
+    touching = adjacency_edges(g, part)
+    for i in range(part.n_robots):
+        for j in range(part.n_robots):
+            if i != j:
+                assert sim._regions_touch(world, i, j) == ((min(i, j), max(i, j)) in touching)
+
+
+@settings(max_examples=40, deadline=None)
+@given(rng=st.randoms(use_true_random=False), n=st.integers(4, 14), uniform=st.booleans())
+def test_lloyd_move_that_keeps_both_centroids_closes_its_pair(rng, n, uniform):
+    n, edges = random_off_lattice_graph(rng, n)
+    if uniform:
+        edges = [(u, v, 0.6) for u, v, _ in edges]
+    g = WeightedGraph(n, edges)
+    phi = PhiWeights([off_lattice(rng) for _ in range(n)])
+    _, part = random_start(g, 3, rng.randrange(1000))
+    r_comm = sum(w for _, _, w in edges) + 1.0
+    config = fig2a_config(r_comm=r_comm, seed=rng.randrange(1000))
+    world = World(g, part, phi, config, algorithm=GOSSIP_LLOYD, record_motion=False)
+    for _ in range(200):
+        before = [territory.centroid for territory in world._territories]
+        seen = len(world.events)
+        step(world)
+        for event in world.events[seen:]:
+            if event.kind != "EXCHANGE":
+                continue
+            # a robot meets at most once per step, so no later adoption in
+            # the step reopened or dropped the pair
+            i, j = event.robot_i, event.robot_j
+            centers = (world._territories[i].centroid, world._territories[j].centroid)
+            closed = centers == (before[i], before[j])
+            assert (world._pair_state[(i, j)] is None) == closed
+            if closed:
+                assert gossip_lloyd_exchange(g, world.partition, i, j, phi, centers) is (
+                    world.partition
+                )
 
 
 @settings(max_examples=60, deadline=None)
