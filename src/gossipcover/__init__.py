@@ -13,7 +13,6 @@ from .graph import (
     UNREACHABLE,
     WeightedGraph,
     format_edge_list,
-    is_connected,
     load_edge_list,
     load_environment,
     one_to_all,

@@ -27,6 +27,7 @@ from .partition import (
     is_pairwise_optimal,
     load_partition,
     load_phi,
+    price_region,
     voronoi_partition,
 )
 from .sim import GOSSIP_COVERAGE, GOSSIP_LLOYD, SimConfig, SimTrace, run
@@ -265,6 +266,8 @@ def run_campaign(spec: CampaignSpec) -> CampaignReport:
             replace(_run_record(k, trace), seed=spec.base_seed + k) for k in range(samples)
         ]
     else:
+        # every run starts from the same regions: price them once
+        priced = [price_region(graph, r, phi) for r in partition.regions()]
         records = []
         for k in range(samples):
             config = replace(spec.sim, seed=spec.base_seed + k)
@@ -276,6 +279,7 @@ def run_campaign(spec: CampaignSpec) -> CampaignReport:
                 algorithm=spec.algorithm,
                 initial_positions=positions,
                 record_motion=False,
+                priced=priced,
             )
             _check_final(graph, phi, spec, trace)
             records.append(_run_record(k, trace))

@@ -20,14 +20,14 @@ checks it (see partition.price_region); a caller that holds the two
 regions' Territories (the simulator keeps one per robot) passes them
 as priced=, and the scan makes only the union's distance matrix. On a
 uniform-weight graph it composes that matrix from the two Territory
-matrices through the edges between the regions (_union_hops), which in
-integer hops equals a fresh search of the union exactly; on other graphs
-it searches the union afresh, since a composed float sum can differ in
-the last bit from one accumulated edge by edge. The result carries that
-union matrix, and pairwise_exchange prices both sides of an improving
-scan from it (price_region's seed), which on a uniform-weight graph
-searches only the few rows where a side's own hop counts differ from the
-union's.
+matrices through the edges between the regions (_union_hops), in compact
+integer hop counts that equal a fresh search of the union exactly; on
+other graphs it searches the union afresh, since a composed float sum can
+differ in the last bit from one accumulated edge by edge. The result
+carries that union matrix, and pairwise_exchange prices both sides of an
+improving scan from it (price_region's seed), which on a uniform-weight
+graph searches only the few rows where a side's own hop counts differ
+from the union's.
 Because every vertex's shortest path to its winning center stays inside
 the winning side, both sides of any candidate split are connected and
 the candidate price equals sum_k min(d_U(a,k), d_U(b,k)) * phi(k).
@@ -38,19 +38,22 @@ is adopted lives in pairwise_exchange, the one rule both the simulator
 and is_pairwise_optimal apply.
 
 Two evaluators price the candidates, and the inputs pick one. In the
-integer regime, a uniform-weight graph (integer hops), integer-valued
-phi (PhiWeights.integral) and dmax * sum(phi over U) < 2**24, every
-partial sum of every candidate price is an integer float32 holds
-exactly, so float32 gives the float64 value in any summation order and
-_scan_blocks prices a block of rows per numpy call. It prices only the
+integer regime, a union matrix of integer hop counts (a uniform-weight
+graph whose two regions share an edge), integer-valued phi
+(PhiWeights.integral) and dmax * sum(phi over U) < 2**24, every partial
+sum of every candidate price is an integer float32 holds exactly, so
+float32 gives the float64 value in any summation order. _scan_blocks
+takes a block of rows' minima in the matrix's integer type (uint8 while
+dmax < 256) and prices them with one float32 product. It prices only the
 pairs a < b: the price of (b, a) equals that of (a, b), which the scan
 met earlier, in this call or in an earlier chunk, and the incumbent has
 only fallen since, so the strict test never accepts (b, a). A block's
 first flat argmin is its first minimum in scan order. The cursor,
 pairs_evaluated and resuming still count ordered pairs. Every other
-input takes _scan_rows, one float64 row product per row; off the
-integer regime the two prices of a pair may differ in the last bit, so
-no pair is skipped there.
+input takes _scan_rows, one float64 row product per row; a union of
+regions that share no edge gets the search's UNREACHABLE across, so no
+sentinel hop count is priced. Off the integer regime the two prices of
+a pair may differ in the last bit, so no pair is skipped there.
 """
 
 from __future__ import annotations
@@ -60,14 +63,15 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+from scipy.sparse.csgraph import dijkstra
 
-from .graph import UNREACHABLE, WeightedGraph, one_to_all, region_distance_matrix
+from .graph import UNREACHABLE, UNREACHED_HOPS, WeightedGraph, region_distance_matrix
 from .partition import Partition, PartitionError, PhiWeights, Territory, price_region
 
 # float32 holds every integer up to this bound exactly
 _F32_EXACT = float(2**24)
-# elements of one float32 block of _scan_blocks; about 2**16 measured fastest
-_BLOCK_ELEMENTS = 2**16
+# elements of one block of _scan_blocks; 2**17 measured faster than 2**15 and 2**16
+_BLOCK_ELEMENTS = 2**17
 
 
 @dataclass(frozen=True)
@@ -103,7 +107,8 @@ class ExchangeResult:
     list. cost is the incumbent's two-center cost (same scale as
     h_one sums). union_dists is the distance matrix of the union
     np.union1d(side_a, side_b) that the scan priced with, in
-    region_distance_matrix units.
+    region_distance_matrix units (_union_hops' integers, or float64 with
+    UNREACHABLE across regions that share no edge).
     """
 
     side_a: np.ndarray
@@ -159,11 +164,20 @@ def optimal_two_partition(
     if budget.resume_cursor > scan_len:
         raise ValueError(f"resume_cursor {budget.resume_cursor} beyond scan length {scan_len}")
 
-    if graph.uniform_weights:
+    if graph.uniform_weights and m < UNREACHED_HOPS // 2:
         dmat = _union_hops(graph, *priced)
+        if dmat.max() == UNREACHED_HOPS:
+            # regions that share no edge: the search's float64, UNREACHABLE across
+            dmat = np.where(dmat == UNREACHED_HOPS, UNREACHABLE, dmat)
     else:
         dmat = region_distance_matrix(graph, union)
     phi_u = phi.values[union]
+    integral = (
+        dmat.dtype.kind == "u"
+        and phi.integral
+        and float(dmat.max()) * float(phi_u.sum()) < _F32_EXACT
+    )
+    scan_mat = dmat if integral else dmat.astype(np.float64, copy=False)
 
     if budget.resume_centers is None:
         ca, cb = priced[0].centroid, priced[1].centroid
@@ -176,18 +190,13 @@ def optimal_two_partition(
             raise ValueError("resume_centers outside the region union")
         if ca == cb:
             raise ValueError("resume_centers must be two distinct vertices")
-        incumbent_cost = float((np.minimum(dmat[ia], dmat) @ phi_u)[ib])
+        incumbent_cost = float((np.minimum(scan_mat[ia], scan_mat) @ phi_u)[ib])
         dirty = True
 
     cursor = budget.resume_cursor
     end = scan_len if budget.max_pairs is None else min(scan_len, cursor + budget.max_pairs)
-    integral = (
-        graph.uniform_weights
-        and phi.integral
-        and float(dmat.max()) * float(phi_u.sum()) < _F32_EXACT
-    )
     scan = _scan_blocks if integral else _scan_rows
-    incumbent_cost, accepted = scan(dmat, phi_u, cursor, end, incumbent_cost)
+    incumbent_cost, accepted = scan(scan_mat, phi_u, cursor, end, incumbent_cost)
     if accepted is not None:
         ia, ib = accepted
         ca, cb = int(union[ia]), int(union[ib])
@@ -217,8 +226,9 @@ def optimal_two_partition(
 
 def _union_hops(graph: WeightedGraph, ta: Territory, tb: Territory) -> np.ndarray:
     """region_distance_matrix(graph, np.union1d(ta.ids, tb.ids)) on a
-    uniform-weight graph, for two disjoint regions, composed from their
-    Territory matrices instead of a fresh search of the union.
+    uniform-weight graph, for two disjoint regions of fewer than
+    UNREACHED_HOPS // 2 vertices together, composed from their Territory
+    matrices in the smallest unsigned type that holds the hop counts.
 
     A portal is an end of a cut edge, one with an end in each region. A
     union path from x to y that crosses between the regions splits at its
@@ -227,16 +237,16 @@ def _union_hops(graph: WeightedGraph, ta: Territory, tb: Territory) -> np.ndarra
     at its last cut edge likewise, and the portal-to-portal union
     distances come from Floyd-Warshall over the portals, with in-region
     hops and one hop per cut edge. All of it is sums and minima of
-    integer hops, so every entry equals the searched one exactly.
-    Regions that share no edge have no portals and stay UNREACHABLE
-    across, as the search leaves them.
+    integer hops in uint16, so every entry equals the searched one
+    exactly. Regions that share no edge have no portals and stay
+    UNREACHED_HOPS across, where the search leaves UNREACHABLE.
     """
     na, m = ta.ids.size, ta.ids.size + tb.ids.size
     # vertices in side order, a's then b's; permuted to union order at the end
     where = np.full(graph.n, -1)
     where[ta.ids] = np.arange(na)
     where[tb.ids] = np.arange(na, m)
-    side = np.full((m, m), UNREACHABLE)
+    side = np.full((m, m), UNREACHED_HOPS, dtype=np.uint16)
     side[:na, :na] = ta.dists
     side[na:, na:] = tb.dists
     u, v = where[graph.edge_ends()]
@@ -244,18 +254,21 @@ def _union_hops(graph: WeightedGraph, ta: Territory, tb: Territory) -> np.ndarra
     cut = (lo >= 0) & (lo < na) & (hi >= na)
     portals, ends = np.unique(np.stack((lo[cut], hi[cut])), return_inverse=True)
     ends = ends.reshape(2, -1)
-    inside = side[portals]
+    # operands clamped to half the sentinel: no sum wraps, and since every
+    # hop count is below m < the clamp, a clamped sum never wins a minimum
+    inside = np.minimum(side[portals], UNREACHED_HOPS // 2)
     closure = inside[:, portals]
-    closure[ends[0], ends[1]] = closure[ends[1], ends[0]] = 1.0
+    closure[ends[0], ends[1]] = closure[ends[1], ends[0]] = 1
     for t in range(portals.size):
         np.minimum(closure, closure[:, t, None] + closure[t], out=closure)
     # from_portal[t, y]: union distance from portal t to y
-    from_portal = np.full((portals.size, m), UNREACHABLE)
+    from_portal = np.full((portals.size, m), UNREACHED_HOPS // 2, dtype=np.uint16)
     for t in range(portals.size):
         np.minimum(from_portal, closure[:, t, None] + inside[t], out=from_portal)
     for t, q in enumerate(portals):
         rows = slice(0, na) if q < na else slice(na, m)
         np.minimum(side[rows], side[rows, q, None] + from_portal[t], out=side[rows])
+    side = side.astype(np.min_scalar_type(int(side.max())), copy=False)
     order = np.argsort(np.concatenate((ta.ids, tb.ids)))
     # take keeps the result C-ordered; side[order][:, order] comes out
     # Fortran-ordered, which slows every block of _scan_blocks
@@ -296,9 +309,10 @@ def _scan_blocks(dmat, phi_u, cursor, end, incumbent):
     its first minimum in scan order.
     """
     m = dmat.shape[0]
-    d32 = dmat.astype(np.float32)
     phi32 = phi_u.astype(np.float32)
-    buf = np.empty(max(_BLOCK_ELEMENTS, (m - 1) * m), np.float32)
+    size = max(_BLOCK_ELEMENTS, (m - 1) * m)
+    # minima in the matrix's own type, then float32 for the product
+    mins, buf = np.empty(size, dmat.dtype), np.empty(size, np.float32)
     # a block of h rows and width >= h columns has h * h <= _BLOCK_ELEMENTS / m
     below = np.tri(max(1, math.isqrt(_BLOCK_ELEMENTS // m)), m - 1, k=-1, dtype=bool)
     below = np.where(below, np.float32(np.inf), np.float32(0))
@@ -309,9 +323,10 @@ def _scan_blocks(dmat, phi_u, cursor, end, incumbent):
         width = m - 1 - a0
         a1 = min(a0 + max(1, _BLOCK_ELEMENTS // (width * m)), last + 1)
         h = a1 - a0
-        block = buf[: h * width * m].reshape(h, width, m)
-        np.minimum(d32[a0:a1, None, :], d32[None, a0 + 1 :, :], out=block)
-        costs = (block.reshape(-1, m) @ phi32).reshape(h, width)
+        n = h * width * m
+        np.minimum(dmat[a0:a1, None, :], dmat[None, a0 + 1 :, :], out=mins[:n].reshape(h, width, m))
+        buf[:n] = mins[:n]
+        costs = (buf[:n].reshape(-1, m) @ phi32).reshape(h, width)
         costs += below[:h, :width]
         # (a, b) sits at a * (m - 1) + b - 1; row a's pairs b > a start at a * m
         if a0 * m < cursor or a1 * (m - 1) > end:
@@ -337,8 +352,9 @@ def assign_sides(
     The matching minimizes the robots' combined travel distance to the
     side centers; on a tie robot i keeps the a-side.
     """
-    from_i = one_to_all(graph, None, pos_i)
-    from_j = one_to_all(graph, None, pos_j)
+    from_i, from_j = dijkstra(
+        graph.csr(), directed=True, indices=[pos_i, pos_j], unweighted=graph.uniform_weights
+    )
     keep = from_i[center_a] + from_j[center_b]
     swap = from_i[center_b] + from_j[center_a]
     return bool(keep <= swap)

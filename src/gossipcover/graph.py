@@ -249,15 +249,6 @@ def _walk_back(graph: WeightedGraph, row: list, at: dict | range, frm: int, to: 
     return path
 
 
-def is_connected(graph: WeightedGraph, region: Iterable[int]) -> bool:
-    """True when the induced subgraph is nonempty and the one_to_all row
-    from its lowest id reaches every vertex of it."""
-    ids = np.asarray(region if isinstance(region, np.ndarray) else list(region), dtype=np.int64)
-    if ids.size == 0:
-        return False
-    return bool(np.isfinite(one_to_all(graph, ids, int(ids.min()))[ids]).all())
-
-
 def _induced_csr(graph: WeightedGraph, ids: np.ndarray) -> csr_matrix:
     """The adjacency of the subgraph induced by the int64 ids, renumbered to
     positions in ids; it holds both directions of every edge."""
@@ -331,7 +322,7 @@ def seeded_region_hops(
     gained = np.flatnonzero(seed_ids[at] != ids)
     shared = seed_hops.take(at, axis=0).take(at, axis=1)
     np.minimum(shared, np.uint16(UNREACHED_HOPS), out=mat, casting="unsafe")
-    # a union seed's copy is float64: free it before the check allocates
+    # free the seed's copy (of any type) before the check allocates
     del shared
     mat[gained] = UNREACHED_HOPS
     mat[:, gained] = UNREACHED_HOPS

@@ -199,7 +199,8 @@ def sample_destination(rng: random.Random, graph: WeightedGraph, region, mode: s
 
 
 class World:
-    """Mutable simulator state for one seeded run; advance with step()."""
+    """Mutable simulator state for one seeded run; advance with step().
+    priced, the start regions' Territories, spares pricing them again."""
 
     def __init__(
         self,
@@ -210,6 +211,7 @@ class World:
         algorithm: str = GOSSIP_COVERAGE,
         initial_positions: Optional[Sequence[int]] = None,
         record_motion: bool = True,
+        priced: Optional[Sequence[Territory]] = None,
     ):
         config.validate(graph)
         partition.validate(graph)
@@ -241,7 +243,11 @@ class World:
         self._positions: list[dict[int, int]] = [{}] * n_robots
         self._destinations: list[list[int]] = [[]] * n_robots
         regions = self.partition.regions()
-        _write_record(self, range(n_robots), [price_region(graph, r, phi) for r in regions])
+        if priced is None:
+            priced = [price_region(graph, r, phi) for r in regions]
+        elif [t.ids.tolist() for t in priced] != [r.tolist() for r in regions]:
+            raise PartitionError("priced Territories do not match the partition")
+        _write_record(self, range(n_robots), priced)
         # (i, j) -> budget resuming the pair's scan, or None once the rule
         # has left the pair unchanged or the two regions were found apart;
         # an adoption drops the pairs it touches
@@ -593,6 +599,7 @@ def run(
     algorithm: str = GOSSIP_COVERAGE,
     initial_positions: Optional[Sequence[int]] = None,
     record_motion: bool = True,
+    priced: Optional[Sequence[Territory]] = None,
 ) -> SimTrace:
     """Simulate until convergence or max_time.
 
@@ -600,7 +607,7 @@ def run(
     convergence_window seconds and the algorithm's own fixed-point
     predicate holds (pairwise optimality, or the Lloyd exchange fixed
     point). Robots start waiting at initial_positions (default: their
-    region centroids).
+    region centroids). priced is World's.
     """
     world = World(
         graph,
@@ -610,6 +617,7 @@ def run(
         algorithm=algorithm,
         initial_positions=initial_positions,
         record_motion=record_motion,
+        priced=priced,
     )
     initial_cost = world.current_cost()
     # a lone robot has no pair to exchange with

@@ -33,7 +33,6 @@ from gossipcover import (
     format_partition,
     h_exp,
     is_centroidal_voronoi,
-    is_connected,
     is_pairwise_optimal,
     load_environment,
     lowest_bin_fraction,
@@ -52,7 +51,7 @@ from gossipcover import (
     write_trace_csv,
 )
 from gossipcover.cli import resolve_environment
-from util_oracle import oracle_two_center, random_connected_graph, random_phi
+from util_oracle import is_connected, oracle_two_center, random_connected_graph, random_phi
 
 
 def conclude(number: int, title: str, failures: list, detail: str = "") -> None:

@@ -31,14 +31,15 @@ from gossipcover import (
 from gossipcover import exchange, graph
 from gossipcover.graph import (
     DisconnectedEnvironmentError,
+    UNREACHED_HOPS,
     EmptyEnvironmentError,
-    is_connected,
     region_distance_matrix,
 )
 from gossipcover.partition import price_region
 
 from conftest import SPLIT_ROWS, SPLIT_ZIGZAG, partition_from_regions
 from util_oracle import (
+    is_connected,
     off_lattice,
     oracle_centroid,
     oracle_split,
@@ -505,9 +506,16 @@ def oracle_on_union(g, union, phi):
 
 
 @settings(max_examples=60, deadline=None)
-@given(rng=st.randoms(use_true_random=False), cap=st.integers(1, 7))
-def test_integer_scan_equals_float64_rows(rng, cap):
+@given(
+    rng=st.randoms(use_true_random=False),
+    cap=st.integers(1, 7),
+    flat=st.sampled_from([None, 1, 2, 7]),
+)
+def test_integer_scan_equals_float64_rows(rng, cap, flat):
+    # flat=c puts phi = c on every vertex, as the bundled workloads do
     g, phi = random_integer_grid(rng)
+    if flat is not None:
+        phi = PhiWeights([flat] * g.n)
     _, p = random_start(g, max(2, g.n // 12), rng.randrange(1000))
     i, j = rng.choice(sorted(adjacency_edges(g, p)))
     regions = (p.region(i), p.region(j))
@@ -525,6 +533,67 @@ def test_integer_scan_equals_float64_rows(rng, cap):
         best, pair = oracle_on_union(g, union, phi)
         assert (full.center_a, full.center_b) == pair
         assert full.cost == best
+
+
+@pytest.mark.parametrize("dmax", [254, 255, 256])
+@pytest.mark.parametrize("flat", [True, False])
+def test_integer_scan_at_the_uint8_bound(dmax, flat):
+    # a path 0 .. dmax - 1 with two leaves on its end: both leaves are dmax hops
+    # from vertex 0, so the leaves' pair has a block minimum of dmax, held in
+    # uint8 up to 255 and in uint16 from 256
+    edges = [(i, i + 1, 1.0) for i in range(dmax - 1)]
+    g = WeightedGraph(dmax + 2, edges + [(dmax - 1, dmax, 1.0), (dmax - 1, dmax + 1, 1.0)])
+    rng = random.Random(dmax)
+    phi = PhiWeights([1 if flat else rng.choice([1, 2, 3, 7]) for _ in range(g.n)])
+    regions = (np.arange(dmax // 3), np.arange(dmax // 3, g.n))
+    with mock.patch.object(exchange, "_scan_blocks", wraps=exchange._scan_blocks) as blocks:
+        integer = scan_and_chain(g, regions, phi, 9000)
+    assert blocks.call_count == len(integer)
+    dmat = integer[0].union_dists
+    assert dmat.dtype == (np.uint8 if dmax < 256 else np.uint16) and dmat.max() == dmax
+    with mock.patch.object(exchange, "_scan_blocks", exchange._scan_rows):
+        rows = scan_and_chain(g, regions, phi, 9000)
+    assert len(integer) == len(rows)
+    for got, want in zip(integer, rows):
+        assert_same_result(got, want)
+    # the segment holding only the leaves' pair (dmax, dmax + 1)
+    m, a = g.n, dmax
+    want = float(np.minimum(dmat[a], dmat[a + 1]).astype(np.float64) @ phi.values)
+    assert exchange._scan_blocks(dmat, phi.values, a * m, (a + 1) * (m - 1), np.inf) == (
+        want,
+        (a, a + 1),
+    )
+
+
+@pytest.mark.parametrize(
+    "budget",
+    [
+        None,
+        ExchangeBudget(max_pairs=5),
+        ExchangeBudget(resume_centers=(0, 1)),
+        # only the pair (1, 0): both centers in one region, priced at inf
+        ExchangeBudget(max_pairs=1, resume_cursor=3, resume_centers=(0, 1)),
+    ],
+)
+def test_regions_apart_scan_their_searched_union(budget):
+    # the regions {0, 1} and {3, 4} of a 5-path share no edge; the union is so
+    # small that UNREACHED_HOPS * sum(phi) < 2**24, so a sentinel hop count that
+    # reached the integer scan would price the pairs across finitely
+    g = path_graph(5)
+    phi = PhiWeights.uniform(5)
+    regions = ([0, 1], [3, 4])
+    assert UNREACHED_HOPS * 4 < 2**24
+    got = optimal_two_partition(g, *regions, phi, budget)
+
+    def searched(graph, ta, tb):
+        return region_distance_matrix(graph, np.union1d(ta.ids, tb.ids))
+
+    with mock.patch.object(exchange, "_union_hops", searched):
+        want = optimal_two_partition(g, *regions, phi, budget)
+    assert_same_result(got, want)
+    assert np.isinf(got.union_dists[0, 2])
+    if budget is not None and budget.resume_cursor == 3:
+        assert got.cost == np.inf
 
 
 @settings(max_examples=60, deadline=None)
@@ -617,7 +686,8 @@ def test_union_hops_equal_a_fresh_search(rng, kind, swap):
     union = np.union1d(ta.ids, tb.ids)
     got = exchange._union_hops(g, ta, tb)
     want = region_distance_matrix(g, union)
-    assert got.dtype == want.dtype and np.array_equal(got, want)
+    want[np.isinf(want)] = UNREACHED_HOPS
+    assert got.dtype == np.min_scalar_type(int(want.max())) and np.array_equal(got, want)
 
 
 def test_union_hops_take_a_detour_through_the_other_region():

@@ -15,7 +15,6 @@ from gossipcover import (
     UNREACHABLE,
     WeightedGraph,
     format_edge_list,
-    is_connected,
     load_environment,
     one_to_all,
     parse_edge_list,
@@ -30,6 +29,7 @@ from util_oracle import (
     floyd_warshall,
     grid_edges,
     induced_distances,
+    is_connected,
     oracle_component_count,
     oracle_connected,
     random_connected_graph,

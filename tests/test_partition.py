@@ -19,7 +19,6 @@ from gossipcover import (
     h_multicenter,
     h_one,
     is_centroidal_voronoi,
-    is_connected,
     is_pairwise_optimal,
     parse_grid,
     parse_partition,
@@ -30,6 +29,7 @@ from gossipcover import (
 from conftest import SPLIT_ROWS, SPLIT_BLOCKS, SPLIT_ZIGZAG, partition_from_regions
 from util_oracle import (
     grid_edges,
+    is_connected,
     off_lattice,
     oracle_centroid,
     oracle_h_one,

@@ -143,6 +143,10 @@ def test_world_rejects_bad_inputs(grid2x5, phi10, reference_splits):
     with pytest.raises(PartitionError):
         # vertex 7 belongs to robot 1, not robot 0
         World(grid2x5, part, phi10, config, initial_positions=[7, 2])
+    priced = [price_region(grid2x5, region, phi10) for region in part.regions()]
+    for wrong in (priced[::-1], priced[:1]):
+        with pytest.raises(PartitionError):
+            World(grid2x5, part, phi10, config, priced=wrong)
 
 
 # ---- kinematics ----
@@ -341,6 +345,10 @@ def test_run_deterministic_given_seed(grid2x5, phi10, reference_splits):
     assert np.array_equal(first.final_partition.owner, second.final_partition.owner)
     assert first.meeting_count == second.meeting_count
     assert first.duration == second.duration
+    # a campaign hands every run the Territories of its start
+    priced = [price_region(grid2x5, r, phi10) for r in reference_splits["a"].regions()]
+    third = run(grid2x5, reference_splits["a"], phi10, fig2a_config(seed=11), priced=priced)
+    assert third.events == first.events and third.final_cost == first.final_cost
     other = run(grid2x5, reference_splits["a"], phi10, fig2a_config(seed=12))
     assert other.duration != first.duration or other.events != first.events
 

@@ -3,7 +3,9 @@
 Everything here recomputes expected values from scratch: Floyd-Warshall
 distances, plain BFS and Dijkstra loops, exhaustive two-center search,
 plain set connectivity. None of it imports the package under test, so
-agreement between the two routes is meaningful.
+agreement between the two routes is meaningful; the one exception is
+is_connected, a region check on the package's own one_to_all row that the
+package itself no longer needs.
 
 Random instance generators keep all edge weights and phi values on a
 0.25 lattice; sums and products of such values are exact in float64,
@@ -15,6 +17,10 @@ can differ in the last bit.
 import heapq
 import math
 from collections import deque
+
+import numpy as np
+
+from gossipcover.graph import one_to_all
 
 INF = math.inf
 
@@ -65,6 +71,15 @@ def oracle_connected(n, edges, subset):
                 seen.add(v)
                 stack.append(v)
     return seen == sub
+
+
+def is_connected(graph, region):
+    """True when the induced subgraph is nonempty and the one_to_all row
+    from its lowest id reaches every vertex of it."""
+    ids = np.asarray(region if isinstance(region, np.ndarray) else list(region), dtype=np.int64)
+    if ids.size == 0:
+        return False
+    return bool(np.isfinite(one_to_all(graph, ids, int(ids.min()))[ids]).all())
 
 
 def oracle_component_count(n, edges):
