@@ -304,14 +304,13 @@ def _scan_blocks(dmat, phi_u, cursor, end, incumbent):
 
     Exact only when every partial sum of a candidate price is an integer
     below 2**24 (see the module docstring). Prices only the pairs a < b,
-    in float32, a block of rows [a0, a1) at a time; entries outside the
-    segment or with b <= a are +inf, and a block's first flat argmin is
-    its first minimum in scan order.
+    a block of rows [a0, a1) at a time: minima in dmat's own type, then
+    float32; entries outside the segment or with b <= a are +inf, and a
+    block's first flat argmin is its first minimum in scan order.
     """
     m = dmat.shape[0]
     phi32 = phi_u.astype(np.float32)
     size = max(_BLOCK_ELEMENTS, (m - 1) * m)
-    # minima in the matrix's own type, then float32 for the product
     mins, buf = np.empty(size, dmat.dtype), np.empty(size, np.float32)
     # a block of h rows and width >= h columns has h * h <= _BLOCK_ELEMENTS / m
     below = np.tri(max(1, math.isqrt(_BLOCK_ELEMENTS // m)), m - 1, k=-1, dtype=bool)
