@@ -190,7 +190,12 @@ def optimal_two_partition(
             raise ValueError("resume_centers outside the region union")
         if ca == cb:
             raise ValueError("resume_centers must be two distinct vertices")
-        incumbent_cost = float((np.minimum(scan_mat[ia], scan_mat) @ phi_u)[ib])
+        if integral:
+            # every partial sum is an integer below 2**24, exact in any order
+            incumbent_cost = float(np.minimum(scan_mat[ia], scan_mat[ib]) @ phi_u)
+        else:
+            # the row product sums in the order the scan accepted the pair at
+            incumbent_cost = float((np.minimum(scan_mat[ia], scan_mat) @ phi_u)[ib])
         dirty = True
 
     cursor = budget.resume_cursor

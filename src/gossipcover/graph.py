@@ -13,7 +13,7 @@ import math
 import os
 from importlib import resources
 from itertools import chain
-from typing import Iterable, Iterator, ItemsView, Optional, Sequence
+from typing import Collection, Iterable, Iterator, ItemsView, Optional, Sequence
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -247,6 +247,36 @@ def _walk_back(graph: WeightedGraph, row: list, at: dict | range, frm: int, to: 
         v = best
     path.reverse()
     return path
+
+
+def _path_to_nearest(graph: WeightedGraph, source: int, targets: Collection[int]) -> list[int]:
+    """The _walk_back path from source to the first, in id order, of the
+    targets nearest to it in the whole graph; targets is nonempty.
+
+    On a uniform-weight graph the search goes out one hop level at a time
+    and stops after the first level that holds a target, so the target is
+    the smallest id on that level. Every earlier level is complete, so the
+    walk back over the searched vertices sees every predecessor a
+    whole-graph row would give it. Other graphs search the whole graph.
+    """
+    if not graph.uniform_weights:
+        row = one_to_all(graph, None, source).tolist()
+        target = min(sorted(targets), key=row.__getitem__)
+        return _walk_back(graph, row, range(graph.n), source, target)
+    adj = graph._adj
+    # searched vertex -> its position in row, which holds its hop count
+    at, row, level, hops = {source: 0}, [0.0], [source], 0.0
+    # a connected graph reaches a target before the levels run out
+    while level and not (reached := [v for v in level if v in targets]):
+        hops += 1.0
+        frontier, level = level, []
+        for u in frontier:
+            for v in adj[u]:
+                if v not in at:
+                    at[v] = len(row)
+                    row.append(hops)
+                    level.append(v)
+    return _walk_back(graph, row, at, source, min(reached))
 
 
 def _induced_csr(graph: WeightedGraph, ids: np.ndarray) -> csr_matrix:

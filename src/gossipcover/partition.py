@@ -342,8 +342,9 @@ def voronoi_partition(
 ) -> Partition:
     """Partition by graph distance to generators; ties to the lowest index.
 
-    Regions stay connected where float path sums tie (see
-    _nearest_generator).
+    Regions stay connected where float path sums tie. Distances are hop
+    counts on uniform-weight graphs, which one breadth-first search
+    settles; other graphs run a heap search (see _nearest_generator).
     """
     gens = [int(g) for g in generators]
     if len(gens) == 0:
@@ -362,10 +363,17 @@ def _nearest_generator(
     """Index of the generator each vertex joins, negative outside the region.
 
     One search from all distinct generators, inside the induced region
-    (the whole graph when None; hop counts on uniform graphs), settles
-    vertices in (distance, index) order, each joining the generator it
-    is reached from, so every part is connected even where float path
-    sums tie.
+    (the whole graph when None), settles vertices in (distance, index)
+    order, each joining the generator it is reached from, so every part
+    is connected even where float path sums tie.
+
+    On a uniform-weight graph the distances are hop counts and the search
+    is first in, first out, from the generators queued in index order.
+    The queue then holds each hop level in nondecreasing generator index,
+    since each vertex joins the generator of the vertex that first reaches
+    it, and that vertex, one level closer, has the lowest index among the
+    vertex's neighbours on that level: the (distance, index) rule. Other
+    graphs settle vertices from a heap of (distance, index, vertex).
     """
     # -1: not reached yet; -2: outside the region
     if region is None:
@@ -374,7 +382,19 @@ def _nearest_generator(
         owner = [-2] * graph.n
         for v in region.tolist():
             owner[v] = -1
-    hop = graph.uniform_weights
+    if graph.uniform_weights:
+        adj = graph._adj
+        queue = list(gens)
+        for k, g in enumerate(queue):
+            owner[g] = k
+        # the loop reads the vertices appended while it runs
+        for u in queue:
+            k = owner[u]
+            for v in adj[u]:
+                if owner[v] == -1:
+                    owner[v] = k
+                    queue.append(v)
+        return np.array(owner, dtype=np.int32)
     heap = [(0.0, k, g) for k, g in enumerate(gens)]
     while heap:
         d, k, u = heapq.heappop(heap)
@@ -383,7 +403,7 @@ def _nearest_generator(
         owner[u] = k
         for v, w in graph.neighbors(u):
             if owner[v] == -1:
-                heapq.heappush(heap, (d + (1.0 if hop else w), k, v))
+                heapq.heappush(heap, (d + w, k, v))
     return np.array(owner, dtype=np.int32)
 
 

@@ -7,10 +7,15 @@ two robots sit within communication range of each other, a Poisson
 clock (thinned per step to firing probability 1 - exp(-lambda*dt))
 triggers a pairwise territory exchange. Time advances in fixed dt
 steps: each step first handles the motion events due in it (arrivals at
-path vertices and ends of waits), then resolves at most one meeting per
-robot. Exchanges take zero simulated time; a robot whose vertex is
-traded away walks the full graph back to its territory before resuming
-the protocol.
+path vertices and ends of waits), then draws the clock of every pair in
+range, in row-major order, before it resolves at most one meeting per
+robot, in the first of its pairs that fired. Exchanges take zero
+simulated time; a robot whose vertex is traded away walks back to its
+territory, along a shortest path through the whole graph to the nearest
+vertex of its region (the lowest id among equally near ones), before
+resuming the protocol. On uniform-weight graphs that search goes out one
+hop level at a time and stops at the first level that holds a region
+vertex.
 
 Motion runs on an exact event schedule. A wait lasts the number of steps
 in which tau, less dt per step, stays positive; it is counted once per
@@ -65,7 +70,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .exchange import ExchangeBudget, pairwise_exchange
-from .graph import WeightedGraph, _walk_back, one_to_all
+from .graph import WeightedGraph, _path_to_nearest, _walk_back
 from .lloyd import gossip_lloyd_exchange, is_gossip_lloyd_fixed_point
 from .partition import (
     Partition,
@@ -474,10 +479,7 @@ def _repair_robot(world: World, robot: RobotState) -> None:
     """Restore protocol invariants for a robot after its region changed."""
     members = world._positions[robot.id]
     if robot.current_vertex not in members:
-        row = one_to_all(world.graph, None, robot.current_vertex).tolist()
-        # the first of the nearest region vertices in id order
-        target = min(members, key=row.__getitem__)
-        path = _walk_back(world.graph, row, range(world.graph.n), robot.current_vertex, target)
+        path = _path_to_nearest(world.graph, robot.current_vertex, members)
         _start_trip(world, robot, path[1:], RELOCATING)
         return
     if robot.mode == WAITING:
@@ -543,11 +545,30 @@ def _apply_meeting(world: World, i: int, j: int) -> None:
     _repair_robot(world, world.robots[j])
 
 
-def _resolve_meetings(world: World) -> None:
+def step(world: World) -> World:
+    """Advance the world one config.dt step: the motion events due, then
+    meetings. Every in-range pair draws its clock in row-major order before
+    any meeting applies; a robot meets at most once, in its first pair
+    that fired."""
+    world.time += world.config.dt
+    now = world._step = world._step + 1
+    due = world._agenda.pop(now, None)
+    if due:
+        due.sort()
+        scheduled, robots = world._due, world.robots
+        moved = [k for k in due if scheduled[k] == now and _handle_event(world, robots[k])]
+        if moved:
+            _retest_pairs(world, moved)
+    pairs = world._pairs
+    if not pairs:
+        return world
     draw, prob = world.rng.random, world._fire_prob
-    fired = [p for p in world._pairs if draw() < prob]
-    if not fired:
-        return
+    for first, pair in enumerate(pairs):
+        if draw() < prob:
+            break
+    else:
+        return world
+    fired = [pair] + [p for p in pairs[first + 1 :] if draw() < prob]
     consumed: set[int] = set()
     for i, j in fired:
         if i in consumed or j in consumed:
@@ -555,20 +576,6 @@ def _resolve_meetings(world: World) -> None:
         consumed.add(i)
         consumed.add(j)
         _apply_meeting(world, i, j)
-
-
-def step(world: World) -> World:
-    """Advance the world one config.dt step: the motion events due, then meetings."""
-    world.time += world.config.dt
-    now = world._step = world._step + 1
-    due = world._agenda.pop(now, None)
-    if due:
-        scheduled, robots = world._due, world.robots
-        moved = [k for k in sorted(due) if scheduled[k] == now and _handle_event(world, robots[k])]
-        if moved:
-            _retest_pairs(world, moved)
-    if world._pairs:
-        _resolve_meetings(world)
     return world
 
 

@@ -2,6 +2,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gossipcover.partition as partition_module
 from conftest import partition_from_regions
@@ -24,7 +26,7 @@ from gossipcover import (
     voronoi_partition,
 )
 from gossipcover.cli import resolve_environment
-from util_oracle import random_connected_graph
+from util_oracle import grid_edges, oracle_nearest_generator, random_connected_graph
 
 PATH4 = parse_grid("....\n")
 PATH5 = parse_grid(".....\n")
@@ -98,6 +100,65 @@ def test_exchange_never_increases_cost_random():
         new = lloyd_exchange(graph, part, i, j, phi)
         new.validate(graph)
         assert h_exp(graph, new, phi) <= before + 1e-12
+
+
+# ---- the Voronoi split against the heap search ----
+
+
+def lloyd_split_by_reference(graph, part, i, j, centers):
+    """The owners gossip_lloyd_exchange gives, from the heap search over the
+    union: the lower robot's center is generator 0."""
+    union = np.flatnonzero((part.owner == i) | (part.owner == j))
+    lo, hi = (i, j) if i < j else (j, i)
+    gens = centers if i < j else centers[::-1]
+    nearest = oracle_nearest_generator(graph, gens, union)
+    owner = part.owner.tolist()
+    for v in union.tolist():
+        owner[v] = (lo, hi)[nearest[v]]
+    return owner
+
+
+def test_split_ties_go_to_the_lowest_generator_index():
+    # on the 3x3 grid, corners 0 and 8 are equally far from 2, 4 and 6
+    g = WeightedGraph(*grid_edges(3, 3, w=0.5))
+    for gens, expected in (
+        ([0, 8], [0, 0, 0, 0, 0, 1, 0, 1, 1]),
+        ([8, 0], [1, 1, 0, 1, 0, 0, 0, 0, 0]),
+        ([4, 0, 8], [1, 0, 0, 0, 0, 0, 0, 0, 2]),
+    ):
+        assert voronoi_partition(g, gens).owner.tolist() == expected
+        assert oracle_nearest_generator(g, gens) == expected
+    part = partition_from_regions(9, [[0, 1, 3], [2, 4, 5, 6, 7, 8]])
+    for i, j, centers in ((0, 1, (0, 8)), (1, 0, (8, 0)), (1, 0, (0, 8))):
+        moved = gossip_lloyd_exchange(g, part, i, j, uniform(9), centers)
+        assert moved.owner.tolist() == lloyd_split_by_reference(g, part, i, j, centers)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    rng=st.randoms(use_true_random=False),
+    n=st.integers(2, 18),
+    k=st.integers(2, 6),
+    grid=st.booleans(),
+)
+def test_uniform_graph_split_equals_heap_reference(rng, n, k, grid):
+    # grids and uniform random graphs put many vertices at equal distance
+    # from two or more generators
+    if grid:
+        n, edges = grid_edges(rng.randint(1, 4), rng.randint(2, 5), w=0.6)
+    else:
+        n, edges = random_connected_graph(rng, n, uniform=True)
+    g = WeightedGraph(n, edges)
+    gens = rng.sample(range(n), min(k, n))
+    part = voronoi_partition(g, gens)
+    assert part.owner.tolist() == oracle_nearest_generator(g, gens)
+    for i, j in sorted(adjacency_edges(g, part)):
+        if rng.random() < 0.5:
+            i, j = j, i
+        union = np.flatnonzero((part.owner == i) | (part.owner == j)).tolist()
+        centers = tuple(rng.sample(union, 2))
+        moved = gossip_lloyd_exchange(g, part, i, j, uniform(n), centers)
+        assert moved.owner.tolist() == lloyd_split_by_reference(g, part, i, j, centers)
 
 
 # ---- decentralized Lloyd ----

@@ -7,7 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import SPLIT_ZIGZAG, partition_from_regions
-from util_oracle import ReferenceMotion, off_lattice, random_off_lattice_graph
+from util_oracle import (
+    ReferenceMotion,
+    off_lattice,
+    random_connected_graph,
+    random_off_lattice_graph,
+)
 import gossipcover.exchange as exchange_module
 import gossipcover.graph as graph_module
 import gossipcover.partition as partition_module
@@ -41,7 +46,7 @@ from gossipcover import (
     step,
     voronoi_partition,
 )
-from gossipcover.graph import region_distance_matrix, shortest_path
+from gossipcover.graph import _walk_back, one_to_all, region_distance_matrix, shortest_path
 from gossipcover.partition import price_region
 from gossipcover.sim import (
     MEETING_NOCHANGE,
@@ -514,9 +519,10 @@ def test_step_caches_match_fresh_searches(rng, n, algorithm, mode, uniform):
 
 
 def reference_step(world, motion):
-    """One step of world with the step-by-step motion loop and a pair list
-    computed afresh; trips and waits that a meeting starts go to motion
-    through the patched trip and wait starts."""
+    """One step of world with the step-by-step motion loop, a pair list
+    computed afresh and every pair's clock drawn before any meeting
+    applies; trips and waits that a meeting starts go to motion through the
+    patched trip and wait starts."""
     world.time += world.config.dt
 
     def arrived(robot):
@@ -529,7 +535,12 @@ def reference_step(world, motion):
     choose = lambda robot: sim._choose_destination(world, robot)
     motion.step(world.robots, world.graph.edge_weight, choose, arrived)
     world._pairs = eligible_pairs(world)
-    sim._resolve_meetings(world)
+    fired = [p for p in world._pairs if world.rng.random() < world._fire_prob]
+    met = set()
+    for i, j in fired:
+        if i not in met and j not in met:
+            met.update((i, j))
+            sim._apply_meeting(world, i, j)
 
 
 @settings(max_examples=60, deadline=None)
@@ -910,6 +921,62 @@ def test_exchange_resamples_robot_whose_path_left_its_region():
         assert world._arrivals[0][0] == world._step + 4
     for v in robot.path:
         assert v in region0
+
+
+def relocation_by_reference(graph, source, region):
+    """The whole-graph relocation path: source's one_to_all row, the first
+    of the nearest region vertices in id order, the walk back over range(n)."""
+    row = one_to_all(graph, None, source).tolist()
+    target = min(sorted(region), key=row.__getitem__)
+    return _walk_back(graph, row, range(graph.n), source, target)
+
+
+def relocate(world, k, v):
+    """Put robot k on vertex v, outside its region, repair it, and return
+    the relocation path from v."""
+    robot = world.robots[k]
+    robot.current_vertex = v
+    sim._repair_robot(world, robot)
+    assert robot.mode == RELOCATING
+    return [v] + robot.path
+
+
+def test_relocation_goes_to_the_lower_of_two_equally_near_members():
+    # robot 0 owns {0, 1, 7} of the 8-cycle; from vertex 4, three hops out,
+    # members 1 and 7 are equally near
+    g = WeightedGraph(8, [(v, (v + 1) % 8, 0.5) for v in range(8)])
+    part = partition_from_regions(8, [[0, 1, 7], [2, 3, 4, 5, 6]])
+    world = World(g, part, PhiWeights.uniform(8), quiet_config())
+    assert relocate(world, 0, 4) == [4, 3, 2, 1] == relocation_by_reference(g, 4, [0, 1, 7])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    rng=st.randoms(use_true_random=False),
+    n=st.integers(3, 16),
+    n_robots=st.integers(2, 4),
+    # sparse graphs put vertices several hops outside a region
+    extra=st.sampled_from([0.0, 0.1, 0.3]),
+    uniform=st.booleans(),
+)
+def test_relocation_equals_whole_graph_search(rng, n, n_robots, extra, uniform):
+    n, edges = random_connected_graph(rng, n, extra_edge_prob=extra, uniform=True)
+    if not uniform:
+        edges = [(u, v, off_lattice(rng)) for u, v, _ in edges]
+    g = WeightedGraph(n, edges)
+    _, part = random_start(g, min(n_robots, n), rng.randrange(1000))
+    config = quiet_config(r_comm=g.max_edge_weight + 1.0)
+    world = World(g, part, PhiWeights.uniform(n), config)
+    for k in range(part.n_robots):
+        region = part.region(k).tolist()
+        paths = {
+            v: relocation_by_reference(g, v, region) for v in range(n) if part.owner[v] != k
+        }
+        if not paths:
+            continue
+        farthest = max(paths, key=lambda v: len(paths[v]))
+        for v in (farthest, rng.choice(sorted(paths))):
+            assert relocate(world, k, v) == paths[v]
 
 
 def test_repeated_meetings_after_optimum_change_nothing():

@@ -186,6 +186,26 @@ def dijkstra_into(graph, outside, source, dist):
                     heapq.heappush(heap, (nd, v))
 
 
+def oracle_nearest_generator(graph, gens, region=None):
+    """The generator index each vertex joins, negative outside the region:
+    one heap search from all generators inside the induced region (the
+    whole graph when None), settling vertices in (distance, index, vertex)
+    order, with hop counts on uniform-weight graphs; each vertex joins the
+    generator it is reached from."""
+    inside = range(graph.n) if region is None else set(int(v) for v in region)
+    owner = [-1 if v in inside else -2 for v in range(graph.n)]
+    heap = [(0.0, k, g) for k, g in enumerate(gens)]
+    while heap:
+        d, k, u = heapq.heappop(heap)
+        if owner[u] >= 0:
+            continue
+        owner[u] = k
+        for v, w in graph._adj[u].items():
+            if owner[v] == -1:
+                heapq.heappush(heap, (d + (1.0 if graph.uniform_weights else w), k, v))
+    return owner
+
+
 # ---- random instance generators (0.25-lattice values stay exact) ----
 
 
