@@ -13,12 +13,10 @@ from .graph import (
     UNREACHABLE,
     WeightedGraph,
     format_edge_list,
-    load_edge_list,
     load_environment,
     one_to_all,
     parse_edge_list,
     parse_grid,
-    shortest_path,
 )
 from .partition import (
     Partition,
@@ -28,7 +26,6 @@ from .partition import (
     centroid,
     centroid_and_cost,
     format_partition,
-    format_phi,
     h_exp,
     h_multicenter,
     h_one,
@@ -41,13 +38,11 @@ from .partition import (
 from .exchange import (
     ExchangeBudget,
     ExchangeResult,
-    assign_sides,
     optimal_two_partition,
     pairwise_exchange,
 )
 from .lloyd import (
     decentralized_lloyd_fixed_point,
-    decentralized_lloyd_round,
     gossip_lloyd_exchange,
     is_gossip_lloyd_fixed_point,
 )
@@ -61,9 +56,7 @@ from .sim import (
     SimTrace,
     TraceEvent,
     World,
-    eligible_pairs,
     run,
-    sample_destination,
     step,
 )
 from .campaign import (

@@ -63,9 +63,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.sparse.csgraph import dijkstra
 
-from .graph import UNREACHABLE, UNREACHED_HOPS, WeightedGraph, region_distance_matrix
+from .graph import UNREACHABLE, UNREACHED_HOPS, WeightedGraph, one_to_all, region_distance_matrix
 from .partition import Partition, PartitionError, PhiWeights, Territory, price_region
 
 # float32 holds every integer up to this bound exactly
@@ -356,9 +355,7 @@ def assign_sides(
     The matching minimizes the robots' combined travel distance to the
     side centers; on a tie robot i keeps the a-side.
     """
-    from_i, from_j = dijkstra(
-        graph.csr(), directed=True, indices=[pos_i, pos_j], unweighted=graph.uniform_weights
-    )
+    from_i, from_j = one_to_all(graph, [pos_i, pos_j])
     keep = from_i[center_a] + from_j[center_b]
     swap = from_i[center_b] + from_j[center_a]
     return bool(keep <= swap)

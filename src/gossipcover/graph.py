@@ -168,69 +168,28 @@ class WeightedGraph:
         return ball
 
 
-def _region_ids(graph: WeightedGraph, region: Iterable[int]) -> np.ndarray:
-    """The region as sorted unique int64 ids; raises ValueError when it is
-    empty or names a vertex outside 0..n-1."""
-    ids = np.unique(
-        np.asarray(region if isinstance(region, np.ndarray) else list(region), dtype=np.int64)
-    )
-    if ids.size == 0:
-        raise ValueError("region is empty")
-    bad = ids[(ids < 0) | (ids >= graph.n)]
-    if bad.size:
-        raise ValueError(f"region vertex {bad[0]} out of range")
-    return ids
+def one_to_all(graph: WeightedGraph, sources: int | Sequence[int]) -> np.ndarray:
+    """Whole-graph distances from an int source as one row, or from a
+    sequence of sources as one row per source.
 
-
-def one_to_all(
-    graph: WeightedGraph, region: Optional[Iterable[int]], source: int
-) -> np.ndarray:
-    """Distances from source to every vertex of the induced subgraph.
-
-    region=None means the whole graph. The units match
-    region_distance_matrix: uniform-weight graphs give hop counts as
-    float64 (meters = hops * unit_weight), which keeps sums and ties
-    exact; general weights give Dijkstra distances accumulated edge by
-    edge. Vertices outside the region or unreached stay at UNREACHABLE.
-    A region search runs scipy's dijkstra on the induced subgraph and
-    scatters its row into a vector over the whole graph.
+    The units match region_distance_matrix: uniform-weight graphs give hop
+    counts as float64 (meters = hops * unit_weight), which keeps sums and
+    ties exact; general weights give Dijkstra distances accumulated edge
+    by edge. Raises ValueError on a source outside 0..n-1.
     """
-    ids = None if region is None else _region_ids(graph, region)
-    if not 0 <= source < graph.n:
-        raise ValueError(f"source {source} out of range")
-    if ids is None:
-        return _csgraph_dijkstra(
-            graph.csr(), directed=True, indices=source, unweighted=graph.uniform_weights
-        )
-    at = int(np.searchsorted(ids, source))
-    if at == ids.size or ids[at] != source:
-        raise ValueError(f"source {source} not in region")
-    dist = np.full(graph.n, UNREACHABLE)
-    dist[ids] = _csgraph_dijkstra(
-        _induced_csr(graph, ids), directed=True, indices=at, unweighted=graph.uniform_weights
+    for source in np.atleast_1d(sources).tolist():
+        if not 0 <= source < graph.n:
+            raise ValueError(f"source {source} out of range")
+    return _csgraph_dijkstra(
+        graph.csr(), directed=True, indices=sources, unweighted=graph.uniform_weights
     )
-    return dist
-
-
-def shortest_path(
-    graph: WeightedGraph, region: Optional[Iterable[int]], frm: int, to: int
-) -> list[int]:
-    """One shortest path from frm to to inside the induced subgraph.
-
-    Deterministic: walking back from the target, ties between equal-cost
-    predecessors go to the lowest vertex id. Raises ValueError when the
-    endpoints are outside the region or no path exists.
-    """
-    dist = one_to_all(graph, region, frm)
-    if not (0 <= to < graph.n and dist[to] != UNREACHABLE):
-        raise ValueError(f"no path from {frm} to {to} within region")
-    return _walk_back(graph, dist.tolist(), range(graph.n), frm, to)
 
 
 def _walk_back(graph: WeightedGraph, row: list, at: dict | range, frm: int, to: int) -> list[int]:
     """The lowest-id predecessor path from frm to a reached vertex to, given
-    frm's one_to_all distances as a list and the position in it of each
-    vertex it holds (range(n) for a whole row); other vertices are unreached."""
+    frm's distances as a list (a one_to_all row or a region matrix row) and
+    the position in it of each vertex it holds (range(n) for a whole row);
+    other vertices are unreached."""
     adj, hop = graph._adj, graph.uniform_weights
     path = [to]
     v = to
@@ -260,7 +219,7 @@ def _path_to_nearest(graph: WeightedGraph, source: int, targets: Collection[int]
     whole-graph row would give it. Other graphs search the whole graph.
     """
     if not graph.uniform_weights:
-        row = one_to_all(graph, None, source).tolist()
+        row = one_to_all(graph, source).tolist()
         target = min(sorted(targets), key=row.__getitem__)
         return _walk_back(graph, row, range(graph.n), source, target)
     adj = graph._adj
@@ -473,11 +432,6 @@ def parse_edge_list(text: str) -> WeightedGraph:
     if n is None:
         raise EmptyEnvironmentError("edge list has no vertex count")
     return WeightedGraph(n, edges)
-
-
-def load_edge_list(path: str) -> WeightedGraph:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_edge_list(fh.read())
 
 
 def format_edge_list(graph: WeightedGraph) -> str:

@@ -61,33 +61,15 @@ def gossip_lloyd_exchange(
     return partition.replace({i: side_i, j: np.flatnonzero(nearest == (1 if i < j else 0))})
 
 
-def _priced_round(
-    graph: WeightedGraph, positions: Sequence[int], phi: PhiWeights
-) -> tuple[list[tuple[int, float]], Partition]:
-    """Voronoi partition of the positions, and each cell's centroid and cost."""
-    pos = [int(p) for p in positions]
-    if len(set(pos)) != len(pos):
-        raise PartitionError("positions must be distinct")
-    part = voronoi_partition(graph, pos)
-    return [centroid_and_cost(graph, part.region(k), phi) for k in range(len(pos))], part
-
-
-def decentralized_lloyd_round(
-    graph: WeightedGraph, positions: Sequence[int], phi: PhiWeights
-) -> tuple[list[int], Partition]:
-    """One synchronous round: Voronoi partition of the positions, then each
-    robot relocates to the centroid of its cell."""
-    priced, part = _priced_round(graph, positions, phi)
-    return [c for c, _ in priced], part
-
-
 def decentralized_lloyd_fixed_point(
     graph: WeightedGraph,
     positions: Sequence[int],
     phi: PhiWeights,
     max_rounds: int = 10000,
 ) -> tuple[list[int], Partition, list[float]]:
-    """Iterate rounds until the positions stop moving.
+    """Iterate synchronous rounds until the positions stop moving: a round
+    takes the Voronoi partition of the positions and moves each robot to
+    the centroid of its cell.
 
     Returns the fixed positions, their Voronoi partition, and the h_exp
     value after each round (each cell is priced once per round).
@@ -95,7 +77,8 @@ def decentralized_lloyd_fixed_point(
     pos = [int(p) for p in positions]
     costs: list[float] = []
     for _ in range(max_rounds):
-        priced, part = _priced_round(graph, pos, phi)
+        part = voronoi_partition(graph, pos)
+        priced = [centroid_and_cost(graph, part.region(k), phi) for k in range(len(pos))]
         costs.append(expected_cost([cost for _, cost in priced], phi))
         moved = [c for c, _ in priced]
         if moved == pos:

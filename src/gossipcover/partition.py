@@ -95,11 +95,6 @@ def load_phi(graph: WeightedGraph, path: Optional[str]) -> PhiWeights:
         return parse_phi(fp.read(), graph.n)
 
 
-def format_phi(phi: PhiWeights) -> str:
-    lines = [f"{v} {float(phi.values[v])!r}" for v in range(len(phi))]
-    return "\n".join(lines) + "\n"
-
-
 class Partition:
     """Vertex-to-owner assignment for N robots."""
 
@@ -162,7 +157,8 @@ class Partition:
 
 
 def parse_partition(text: str, n_vertices: int) -> Partition:
-    """Parse a partition file: header `N=<robots>`, lines `vertex owner`."""
+    """Parse a partition file: header `N=<robots>` (1..n_vertices), lines
+    `vertex owner` (owner in 0..N-1)."""
     n_robots = None
     owner = np.full(n_vertices, -1, dtype=np.int32)
     for idx, raw in enumerate(text.splitlines()):
@@ -173,6 +169,11 @@ def parse_partition(text: str, n_vertices: int) -> Partition:
             if not line.startswith("N="):
                 raise PartitionError(f"partition line {idx + 1}: expected 'N=<robots>' header")
             n_robots = int(line[2:])
+            # validate's bincount allocates N counters
+            if not 1 <= n_robots <= n_vertices:
+                raise PartitionError(
+                    f"partition line {idx + 1}: N={n_robots} is outside 1..{n_vertices}"
+                )
             continue
         parts = line.split()
         if len(parts) != 2:
@@ -182,6 +183,9 @@ def parse_partition(text: str, n_vertices: int) -> Partition:
         v, o = int(parts[0]), int(parts[1])
         if not 0 <= v < n_vertices:
             raise PartitionError(f"partition line {idx + 1}: vertex {v} out of range")
+        # -1 marks an unassigned vertex, so it must not pass as an owner
+        if not 0 <= o < n_robots:
+            raise PartitionError(f"partition line {idx + 1}: owner {o} out of range")
         if owner[v] != -1:
             raise PartitionError(f"partition line {idx + 1}: vertex {v} assigned twice")
         owner[v] = o
@@ -423,7 +427,7 @@ def is_centroidal_voronoi(
         centroid_and_cost(graph, partition.region(i), phi)[0]
         for i in range(partition.n_robots)
     ]
-    rows = np.array([one_to_all(graph, None, c) for c in centroids])
+    rows = one_to_all(graph, centroids)
     own = rows[partition.owner, np.arange(graph.n)]
     return bool(np.all(own <= rows.min(axis=0)))
 

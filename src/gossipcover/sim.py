@@ -197,12 +197,6 @@ def destination_candidates(graph: WeightedGraph, region, mode: str) -> list[int]
     return ids.tolist()
 
 
-def sample_destination(rng: random.Random, graph: WeightedGraph, region, mode: str) -> int:
-    """Pick a destination vertex from a region (see destination_candidates)."""
-    candidates = destination_candidates(graph, region, mode)
-    return candidates[rng.randrange(len(candidates))]
-
-
 class World:
     """Mutable simulator state for one seeded run; advance with step().
     priced, the start regions' Territories, spares pricing them again."""
@@ -404,8 +398,8 @@ def _choose_destination(world: World, robot: RobotState) -> None:
     if dest == robot.current_vertex:
         _start_wait(world, robot)
         return
-    # the cached matrix row of the robot's vertex is its one_to_all row in
-    # the region, so the walk gives the path shortest_path would
+    # the cached matrix row of the robot's vertex holds its distances inside
+    # the region, so the walk gives the region's lowest-id shortest path
     positions = world._positions[robot.id]
     row = world._territories[robot.id].dists[positions[robot.current_vertex]].tolist()
     path = _walk_back(world.graph, row, positions, robot.current_vertex, dest)
@@ -439,18 +433,6 @@ def _handle_event(world: World, robot: RobotState) -> bool:
     else:
         _plan_trip(world, robot)
     return reached > 0
-
-
-def eligible_pairs(world: World) -> list[tuple[int, int]]:
-    """Robot pairs i < j within strict communication range of each other,
-    in row-major order; range is tested from the lower-indexed robot."""
-    graph, r = world.graph, world.config.r_comm
-    at = [robot.current_vertex for robot in world.robots]
-    pairs = []
-    for i in range(len(at) - 1):
-        ball = graph.neighborhood(at[i], r)
-        pairs.extend((i, j) for j in range(i + 1, len(at)) if at[j] in ball)
-    return pairs
 
 
 def _retest_pairs(world: World, moved: Sequence[int]) -> None:

@@ -3,7 +3,6 @@ import pytest
 from conftest import GRID_2X5, partition_from_regions
 from gossipcover import (
     format_partition,
-    load_edge_list,
     load_environment,
     main,
     parse_partition,
@@ -63,6 +62,18 @@ def test_check_invalid_partition_exits_2(env_file, tmp_path, capsys):
     captured = capsys.readouterr()
     assert "valid: no" in captured.out
     assert captured.err
+
+
+def test_check_rejects_an_owner_outside_0_to_n_minus_1(tmp_path, capsys):
+    # vertex 0 listed twice, first with owner -1, the parser's unassigned marker
+    grid = tmp_path / "row.grid"
+    grid.write_text("....\n")
+    bad = tmp_path / "bad.partition"
+    bad.write_text("N=1\n0 -1\n0 0\n1 0\n2 0\n3 0\n")
+    assert main(["check", str(grid), str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert "valid: no" in captured.out
+    assert "owner -1 out of range" in captured.err
 
 
 def test_missing_environment_exits_1(tmp_path, capsys):
@@ -217,7 +228,7 @@ def test_grid2graph_info_and_conversion(env_file, tmp_path, capsys):
     assert "edges=13" in out
     target = tmp_path / "env.edges"
     assert main(["grid2graph", env_file, "--out", str(target)]) == 0
-    graph = load_edge_list(str(target))
+    graph = load_environment(str(target))
     assert graph.n == 10
     assert graph.edge_count == 13
 

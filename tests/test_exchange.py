@@ -17,7 +17,6 @@ from gossipcover import (
     PhiWeights,
     WeightedGraph,
     adjacency_edges,
-    assign_sides,
     centroid,
     centroid_and_cost,
     gossip_lloyd_exchange,
@@ -290,9 +289,9 @@ def test_rerun_on_result_is_fixed_point():
 
 def test_assign_sides(grid2x5):
     # centers from the zigzag split: a-side center 1, b-side center 8
-    assert assign_sides(grid2x5, 1, 8, 2, 7)  # natural match
-    assert not assign_sides(grid2x5, 1, 8, 8, 1)  # crossed robots swap
-    assert assign_sides(grid2x5, 1, 8, 2, 6)  # tie: i keeps the a-side
+    assert exchange.assign_sides(grid2x5, 1, 8, 2, 7)  # natural match
+    assert not exchange.assign_sides(grid2x5, 1, 8, 8, 1)  # crossed robots swap
+    assert exchange.assign_sides(grid2x5, 1, 8, 2, 6)  # tie: i keeps the a-side
 
 
 def test_pairwise_exchange_identity_mapping(grid2x5, phi10, reference_splits):

@@ -19,9 +19,8 @@ from gossipcover import (
     one_to_all,
     parse_edge_list,
     parse_grid,
-    shortest_path,
 )
-from gossipcover.graph import region_distance_matrix
+from gossipcover.graph import _walk_back, region_distance_matrix
 
 from util_oracle import (
     bfs_into,
@@ -32,6 +31,7 @@ from util_oracle import (
     is_connected,
     oracle_component_count,
     oracle_connected,
+    oracle_shortest_path,
     random_connected_graph,
     random_off_lattice_graph,
 )
@@ -127,35 +127,29 @@ def test_load_environment_dispatch(tmp_path):
 
 
 def test_one_to_all_2x5(grid2x5):
-    d = one_to_all(grid2x5, None, 0)
+    d = one_to_all(grid2x5, 0)
     assert d.tolist() == [0, 1, 2, 3, 4, 1, 2, 3, 4, 5]
+    rows = one_to_all(grid2x5, [0, 9])
+    assert rows.tolist() == [d.tolist(), d.tolist()[::-1]]
 
 
 def test_one_to_all_region_restriction(grid2x5):
     # U-shaped region: going around the removed top row costs more
-    region = [0, 5, 6, 7, 8, 9, 4]
-    d = one_to_all(grid2x5, region, 0)
-    assert d[4] == 6.0  # full-graph distance is 4
-    assert d[1] == UNREACHABLE  # outside the region
-    full = one_to_all(grid2x5, None, 0)
-    for v in region:
-        assert d[v] >= full[v]
+    region = np.array([0, 4, 5, 6, 7, 8, 9])
+    d = region_distance_matrix(grid2x5, region)[0]
+    assert d[1] == 6.0  # vertex 4; the full-graph distance is 4
+    assert (d >= one_to_all(grid2x5, 0)[region]).all()
 
 
 def test_one_to_all_unreachable_inside_region(grid2x5):
-    d = one_to_all(grid2x5, [0, 9], 0)
-    assert d[9] == UNREACHABLE
+    d = region_distance_matrix(grid2x5, np.array([0, 9]))[0]
+    assert d[1] == UNREACHABLE
 
 
 def test_one_to_all_validation(grid2x5):
-    with pytest.raises(ValueError):
-        one_to_all(grid2x5, [1, 2], 0)  # source outside region
-    with pytest.raises(ValueError):
-        one_to_all(grid2x5, None, 99)
-    with pytest.raises(ValueError):
-        one_to_all(grid2x5, [0, 77], 0)
-    with pytest.raises(ValueError):
-        one_to_all(grid2x5, [], 0)
+    for sources in (99, -1, [0, 10]):
+        with pytest.raises(ValueError, match="out of range"):
+            one_to_all(grid2x5, sources)
 
 
 def test_bfs_dijkstra_agree_exactly():
@@ -185,7 +179,7 @@ def test_distances_match_oracle():
         g = WeightedGraph(n, edges)
         ref = floyd_warshall(n, edges)
         src = rng.randrange(n)
-        d = one_to_all(g, None, src) * (g.unit_weight or 1.0)
+        d = one_to_all(g, src) * (g.unit_weight or 1.0)
         for v in range(n):
             assert d[v] == ref[src][v]
 
@@ -194,15 +188,14 @@ def test_distance_symmetry(grid2x5):
     rng = random.Random(3)
     for _ in range(10):
         u, v = rng.randrange(10), rng.randrange(10)
-        assert one_to_all(grid2x5, None, u)[v] == one_to_all(grid2x5, None, v)[u]
+        assert one_to_all(grid2x5, u)[v] == one_to_all(grid2x5, v)[u]
 
 
 def test_hops_from():
     g = parse_grid("resolution=0.6\n.....\n.....\n")
-    hops = one_to_all(g, None, 0)
+    hops = one_to_all(g, 0)
     assert hops.tolist() == [0, 1, 2, 3, 4, 1, 2, 3, 4, 5]
-    part = one_to_all(g, np.array([0, 1, 5]), 0)
-    assert part[2] == UNREACHABLE and part[1] == 1
+    assert region_distance_matrix(g, np.array([0, 1, 2, 5]))[0].tolist() == [0, 1, 2, 1]
 
 
 # 0.25-lattice weights (weighted or uniform) keep every path sum exact;
@@ -222,12 +215,12 @@ def _random_region_instance(rng, n, weight):
 @given(rng=st.randoms(use_true_random=False), n=st.integers(2, 10), weight=EDGE_WEIGHTS)
 def test_one_to_all_matches_induced_floyd_warshall(rng, n, weight):
     g, edges, region, src = _random_region_instance(rng, n, weight)
-    dist = one_to_all(g, region, src)
+    dist = region_distance_matrix(g, np.array(region))[region.index(src)]
     meters = dist * (g.unit_weight or 1.0)
-    ref = induced_distances(n, edges, region)[src]
+    ref = [induced_distances(n, edges, region)[src][v] for v in region]
     if weight == 0.6:
         hops = induced_distances(n, [(u, v, 1.0) for u, v, _ in edges], region)[src]
-        assert dist.tolist() == hops
+        assert dist.tolist() == [hops[v] for v in region]
         np.testing.assert_allclose(meters, ref, rtol=n * np.finfo(np.float64).eps)
     else:
         assert meters.tolist() == ref
@@ -236,17 +229,20 @@ def test_one_to_all_matches_induced_floyd_warshall(rng, n, weight):
 @settings(max_examples=150, deadline=None)
 @given(rng=st.randoms(use_true_random=False), n=st.integers(2, 10), weight=EDGE_WEIGHTS)
 def test_shortest_path_stays_in_region_with_one_to_all_length(rng, n, weight):
+    # a trip's path: the walk back along the region matrix row of its start
     g, _, region, src = _random_region_instance(rng, n, weight)
-    dist = one_to_all(g, region, src)
-    to = rng.choice([v for v in region if dist[v] != UNREACHABLE])
-    path = shortest_path(g, region, src, to)
+    at = {v: k for k, v in enumerate(region)}
+    row = region_distance_matrix(g, np.array(region))[at[src]].tolist()
+    to = rng.choice([v for v in region if row[at[v]] != UNREACHABLE])
+    path = _walk_back(g, row, at, src, to)
+    assert path == oracle_shortest_path(g, region, src, to)
     assert path[0] == src and path[-1] == to
     assert set(path) <= set(region)
     length = 0.0
     for a, b in zip(path, path[1:]):
         w = g.edge_weight(a, b)  # raises unless a and b are adjacent
         length += 1.0 if g.uniform_weights else w
-    assert length == dist[to]
+    assert length == row[at[to]]
 
 
 def test_region_distance_matrix(grid2x5):
@@ -281,8 +277,6 @@ def test_region_distance_matrix_bit_equal_to_undirected_search(rng, n, uniform):
     upper = csr_matrix((weights, (tails, heads)), shape=(n, n))
     undirected = dijkstra(upper[region][:, region], directed=False, unweighted=g.uniform_weights)
     assert dmat.dtype == undirected.dtype and np.array_equal(dmat, undirected)
-    for k, src in enumerate(region.tolist()):
-        assert dmat[k].tolist() == one_to_all(g, region, src)[region].tolist()
 
 
 @settings(max_examples=150, deadline=None)
@@ -311,20 +305,23 @@ def test_whole_graph_one_to_all_equals_python_search(rng, n, uniform):
     for src in range(n):
         expected = np.full(n, UNREACHABLE)
         search(g, None, src, expected)
-        dist = one_to_all(g, None, src)
+        dist = one_to_all(g, src)
         assert dist.dtype == expected.dtype and np.array_equal(dist, expected)
+    # one multi-source call gives the single-source rows bit for bit
+    sources = rng.choices(range(n), k=rng.randint(1, 4))
+    assert np.array_equal(one_to_all(g, sources), [one_to_all(g, s) for s in sources])
     with pytest.raises(ValueError, match="out of range"):
-        one_to_all(g, None, n)
+        one_to_all(g, n)
     # a random region, searched by the loop with the rest of the graph masked
     region = sorted(rng.sample(range(n), rng.randint(1, n)))
-    for src in region:
+    dmat = region_distance_matrix(g, np.array(region))
+    for k, src in enumerate(region):
         outside = bytearray([1]) * n
         for v in region:
             outside[v] = 0
         expected = np.full(n, UNREACHABLE)
         search(g, outside, src, expected)
-        dist = one_to_all(g, region, src)
-        assert dist.dtype == expected.dtype and np.array_equal(dist, expected)
+        assert dmat.dtype == expected.dtype and np.array_equal(dmat[k], expected[region])
 
 
 def test_edge_weight_lookup():
@@ -349,22 +346,23 @@ def test_edge_ends_follow_edges():
 
 def test_shortest_path_lowest_id_tie():
     g = parse_grid("..\n..\n")
-    assert shortest_path(g, None, 0, 3) == [0, 1, 3]
+    assert oracle_shortest_path(g, None, 0, 3) == [0, 1, 3]
+    assert _walk_back(g, one_to_all(g, 0).tolist(), range(g.n), 0, 3) == [0, 1, 3]
 
 
 def test_shortest_path_properties(grid2x5):
-    path = shortest_path(grid2x5, None, 0, 9)
+    path = oracle_shortest_path(grid2x5, None, 0, 9)
     assert path[0] == 0 and path[-1] == 9 and len(path) == 6
     for a, b in zip(path, path[1:]):
         assert any(v == b for v, _ in grid2x5.neighbors(a))
-    assert shortest_path(grid2x5, None, 4, 4) == [4]
+    assert oracle_shortest_path(grid2x5, None, 4, 4) == [4]
     region = [0, 5, 6, 7, 8, 9, 4]
-    path = shortest_path(grid2x5, region, 0, 4)
+    path = oracle_shortest_path(grid2x5, region, 0, 4)
     assert path == [0, 5, 6, 7, 8, 9, 4]
     with pytest.raises(ValueError):
-        shortest_path(grid2x5, [0, 9], 0, 9)
+        oracle_shortest_path(grid2x5, [0, 9], 0, 9)
     with pytest.raises(ValueError):
-        shortest_path(grid2x5, [0, 1], 0, 9)
+        oracle_shortest_path(grid2x5, [0, 1], 0, 9)
 
 
 # ---- connectivity and neighborhoods ----
@@ -396,6 +394,10 @@ def test_is_connected_matches_oracle(rng, n, k):
     expected = oracle_connected(n, edges, subset)
     assert is_connected(g, subset) == expected
     assert is_connected(g, np.array(subset, dtype=np.int64)) == expected
+    if subset:
+        # the region search that pricing checks connectivity with
+        dmat = region_distance_matrix(g, np.array(sorted(subset)))
+        assert bool(np.isfinite(dmat).all()) == expected
 
 
 def _added(w, times):
@@ -423,7 +425,7 @@ def test_neighborhood_is_strict_on_accumulated_meters(rng, n, shape):
         edges = [(u, v, w) for u, v, _ in edges]
     g = WeightedGraph(n, edges)
     v = rng.randrange(n)
-    dist = one_to_all(g, None, v)
+    dist = one_to_all(g, v)
     if g.uniform_weights:
         w = g.unit_weight
         # a vertex h hops away sits at w added h times, which can differ
@@ -474,4 +476,4 @@ def test_single_vertex_graph():
     g = WeightedGraph(1, [])
     assert g.n == 1 and g.edge_count == 0
     assert not g.uniform_weights  # no edges, no uniform unit
-    assert one_to_all(g, None, 0)[0] == 0.0
+    assert one_to_all(g, 0)[0] == 0.0

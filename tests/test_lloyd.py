@@ -14,7 +14,6 @@ from gossipcover import (
     adjacency_edges,
     centroid,
     decentralized_lloyd_fixed_point,
-    decentralized_lloyd_round,
     gossip_lloyd_exchange,
     h_exp,
     is_centroidal_voronoi,
@@ -165,21 +164,24 @@ def test_uniform_graph_split_equals_heap_reference(rng, n, k, grid):
 
 
 def test_round_single_robot_moves_to_path_center():
-    moved, part = decentralized_lloyd_round(PATH5, [0], uniform(5))
+    # one round moves the robot to the center, a second one finds it fixed
+    moved, part, costs = decentralized_lloyd_fixed_point(PATH5, [0], uniform(5))
     assert moved == [2]
     assert sorted(part.region(0)) == [0, 1, 2, 3, 4]
+    assert len(costs) == 2
 
 
 def test_round_rejects_duplicate_positions():
     with pytest.raises(PartitionError):
-        decentralized_lloyd_round(PATH5, [1, 1], uniform(5))
+        decentralized_lloyd_fixed_point(PATH5, [1, 1], uniform(5))
 
 
 def test_round_fixed_point_unchanged():
-    moved, part = decentralized_lloyd_round(PATH5, [1, 3], uniform(5))
+    moved, part, costs = decentralized_lloyd_fixed_point(PATH5, [1, 3], uniform(5))
     assert moved == [1, 3]
     assert sorted(part.region(0)) == [0, 1, 2]
     assert sorted(part.region(1)) == [3, 4]
+    assert len(costs) == 1
 
 
 def test_fixed_point_costs_nonincreasing_and_centroidal(grid2x5, phi10):
@@ -187,8 +189,8 @@ def test_fixed_point_costs_nonincreasing_and_centroidal(grid2x5, phi10):
     assert all(b <= a + 1e-12 for a, b in zip(costs, costs[1:]))
     assert is_centroidal_voronoi(grid2x5, part, phi10)
     assert costs[-1] == h_exp(grid2x5, part, phi10)
-    again, _ = decentralized_lloyd_round(grid2x5, positions, phi10)
-    assert again == positions
+    again, _, rounds = decentralized_lloyd_fixed_point(grid2x5, positions, phi10)
+    assert again == positions and len(rounds) == 1
 
 
 def test_fixed_point_random_instances():

@@ -10,6 +10,7 @@ from conftest import SPLIT_ZIGZAG, partition_from_regions
 from util_oracle import (
     ReferenceMotion,
     off_lattice,
+    oracle_shortest_path,
     random_connected_graph,
     random_off_lattice_graph,
 )
@@ -30,7 +31,6 @@ from gossipcover import (
     adjacency_edges,
     centroid,
     centroid_and_cost,
-    eligible_pairs,
     gossip_lloyd_exchange,
     h_exp,
     h_multicenter,
@@ -42,11 +42,10 @@ from gossipcover import (
     parse_grid,
     random_start,
     run,
-    sample_destination,
     step,
     voronoi_partition,
 )
-from gossipcover.graph import _walk_back, one_to_all, region_distance_matrix, shortest_path
+from gossipcover.graph import _walk_back, one_to_all, region_distance_matrix
 from gossipcover.partition import price_region
 from gossipcover.sim import (
     MEETING_NOCHANGE,
@@ -71,44 +70,34 @@ def quiet_config(**overrides):
     return SimConfig(**base)
 
 
-# ---- sample_destination ----
+# ---- destination sampling: a trip draws from destination_candidates ----
 
 
 def test_sample_destination_singleton_both_modes(grid2x5):
-    rng = random.Random(0)
     for mode in (UNIFORM_REGION, OPEN_BOUNDARY):
-        assert sample_destination(rng, grid2x5, [4], mode) == 4
+        assert destination_candidates(grid2x5, [4], mode) == [4]
 
 
 def test_sample_destination_uniform_covers_region(grid2x5):
-    rng = random.Random(1)
     region = [0, 1, 5, 6]
-    seen = {sample_destination(rng, grid2x5, region, UNIFORM_REGION) for _ in range(200)}
-    assert seen == set(region)
+    assert destination_candidates(grid2x5, region, UNIFORM_REGION) == region
 
 
 def test_sample_destination_boundary_cells(grid2x5):
     # region {0,1,5,6}: only 1 and 6 touch vertices owned by the other robot
-    rng = random.Random(2)
-    seen = {
-        sample_destination(rng, grid2x5, [0, 1, 5, 6], OPEN_BOUNDARY) for _ in range(200)
-    }
-    assert seen == {1, 6}
+    assert destination_candidates(grid2x5, [0, 1, 5, 6], OPEN_BOUNDARY) == [1, 6]
 
 
 def test_sample_destination_boundary_fallback_whole_graph(grid2x5):
-    rng = random.Random(3)
     region = list(range(10))
-    seen = {sample_destination(rng, grid2x5, region, OPEN_BOUNDARY) for _ in range(400)}
-    assert seen == set(region)
+    assert destination_candidates(grid2x5, region, OPEN_BOUNDARY) == region
 
 
 def test_sample_destination_errors(grid2x5):
-    rng = random.Random(4)
     with pytest.raises(PartitionError):
-        sample_destination(rng, grid2x5, [], UNIFORM_REGION)
+        destination_candidates(grid2x5, [], UNIFORM_REGION)
     with pytest.raises(ValueError):
-        sample_destination(rng, grid2x5, [0], "diagonal")
+        destination_candidates(grid2x5, [0], "diagonal")
 
 
 # ---- config validation ----
@@ -253,14 +242,17 @@ def test_eligible_pairs_same_vertex_and_strict_range(phi10):
     part = partition_from_regions(PATH5.n, [[0, 1, 2], [3, 4]])
     config = SimConfig(speed=0.5, r_comm=2.0, lambda_comm=0.3, tau=1.0, dt=0.5)
     world = World(PATH5, part, PhiWeights.uniform(5), config, initial_positions=[0, 3])
-    a, b = world.robots
-    assert eligible_pairs(world) == []  # d(0,3)=3
+    b = world.robots[1]
+    assert world._pairs == []  # d(0,3)=3
     b.current_vertex = 2
-    assert eligible_pairs(world) == []  # d=2 equals r_comm: excluded
+    sim._retest_pairs(world, [1])
+    assert world._pairs == []  # d=2 equals r_comm: excluded
     b.current_vertex = 1
-    assert eligible_pairs(world) == [(0, 1)]
+    sim._retest_pairs(world, [1])
+    assert world._pairs == [(0, 1)]
     b.current_vertex = 0
-    assert eligible_pairs(world) == [(0, 1)]  # co-located counts
+    sim._retest_pairs(world, [1])
+    assert world._pairs == [(0, 1)]  # co-located counts
 
 
 def test_zero_intensity_never_meets(grid2x5, phi10, reference_splits):
@@ -505,14 +497,14 @@ def test_step_caches_match_fresh_searches(rng, n, algorithm, mode, uniform):
     try:
         for _ in range(60):
             step(world)
-            assert world._pairs == eligible_pairs(world) == pairs_from_all_balls(world)
+            assert world._pairs == pairs_from_all_balls(world)
             for territory, region in zip(world._territories, world.partition.regions()):
                 assert np.array_equal(territory.ids, region)
                 assert np.array_equal(territory.dists, region_distance_matrix(g, region))
                 if uniform:
                     assert territory.dists.dtype.kind == "u"
             for start, path, region in trips:
-                assert path == shortest_path(g, region, start, path[-1])
+                assert path == oracle_shortest_path(g, region, start, path[-1])
             trips.clear()
     finally:
         sim._choose_destination = choose
@@ -534,7 +526,7 @@ def reference_step(world, motion):
 
     choose = lambda robot: sim._choose_destination(world, robot)
     motion.step(world.robots, world.graph.edge_weight, choose, arrived)
-    world._pairs = eligible_pairs(world)
+    world._pairs = pairs_from_all_balls(world)
     fired = [p for p in world._pairs if world.rng.random() < world._fire_prob]
     met = set()
     for i, j in fired:
@@ -592,7 +584,7 @@ def test_scheduled_motion_equals_step_by_step_reference(
             assert [(r.current_vertex, r.mode, r.path) for r in scheduled.robots] == [
                 (r.current_vertex, r.mode, r.path) for r in reference.robots
             ]
-            assert scheduled._pairs == eligible_pairs(scheduled) == reference._pairs
+            assert scheduled._pairs == pairs_from_all_balls(scheduled) == reference._pairs
             assert scheduled.events == reference.events
             assert scheduled.rng.getstate() == reference.rng.getstate()
     finally:
@@ -827,7 +819,7 @@ def test_out_of_contact_meeting_calls_no_rule(monkeypatch, algorithm):
     world = World(
         path9, part, PhiWeights.uniform(9), quiet_config(r_comm=20.0), algorithm=algorithm
     )
-    assert (0, 2) in eligible_pairs(world)
+    assert (0, 2) in world._pairs
     _apply_meeting(world, 0, 2)
     assert calls == []
     assert world.meeting_count == 1
@@ -926,7 +918,7 @@ def test_exchange_resamples_robot_whose_path_left_its_region():
 def relocation_by_reference(graph, source, region):
     """The whole-graph relocation path: source's one_to_all row, the first
     of the nearest region vertices in id order, the walk back over range(n)."""
-    row = one_to_all(graph, None, source).tolist()
+    row = one_to_all(graph, source).tolist()
     target = min(sorted(region), key=row.__getitem__)
     return _walk_back(graph, row, range(graph.n), source, target)
 

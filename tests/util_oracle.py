@@ -3,9 +3,7 @@
 Everything here recomputes expected values from scratch: Floyd-Warshall
 distances, plain BFS and Dijkstra loops, exhaustive two-center search,
 plain set connectivity. None of it imports the package under test, so
-agreement between the two routes is meaningful; the one exception is
-is_connected, a region check on the package's own one_to_all row that the
-package itself no longer needs.
+agreement between the two routes is meaningful.
 
 Random instance generators keep all edge weights and phi values on a
 0.25 lattice; sums and products of such values are exact in float64,
@@ -17,10 +15,6 @@ can differ in the last bit.
 import heapq
 import math
 from collections import deque
-
-import numpy as np
-
-from gossipcover.graph import one_to_all
 
 INF = math.inf
 
@@ -74,12 +68,12 @@ def oracle_connected(n, edges, subset):
 
 
 def is_connected(graph, region):
-    """True when the induced subgraph is nonempty and the one_to_all row
-    from its lowest id reaches every vertex of it."""
-    ids = np.asarray(region if isinstance(region, np.ndarray) else list(region), dtype=np.int64)
-    if ids.size == 0:
-        return False
-    return bool(np.isfinite(one_to_all(graph, ids, int(ids.min()))[ids]).all())
+    """oracle_connected on a WeightedGraph; raises ValueError on a vertex
+    outside 0..n-1."""
+    subset = [int(v) for v in region]
+    if any(not 0 <= v < graph.n for v in subset):
+        raise ValueError(f"region {subset} has a vertex out of range")
+    return oracle_connected(graph.n, list(graph.edges()), subset)
 
 
 def oracle_component_count(n, edges):
@@ -184,6 +178,32 @@ def dijkstra_into(graph, outside, source, dist):
                 if nd < dist[v]:
                     dist[v] = nd
                     heapq.heappush(heap, (nd, v))
+
+
+def oracle_shortest_path(graph, region, frm, to):
+    """The shortest path from frm to to inside the region (None for the
+    whole graph), walking back from to over the bfs_into or dijkstra_into
+    row of frm and taking the lowest-id predecessor at each vertex.
+    Distances are hop counts on uniform-weight graphs. Raises ValueError
+    when to is outside the region or not reached from frm."""
+    outside = None
+    if region is not None:
+        outside = bytearray([1]) * graph.n
+        for v in region:
+            outside[v] = 0
+    dist = [INF] * graph.n
+    search = bfs_into if graph.uniform_weights else dijkstra_into
+    search(graph, outside, frm, dist)
+    if dist[to] == INF:
+        raise ValueError(f"no path from {frm} to {to} within the region")
+    path = [to]
+    while path[-1] != frm:
+        v = path[-1]
+        path.append(min(
+            u for u, w in graph._adj[v].items()
+            if dist[u] + (1.0 if graph.uniform_weights else w) == dist[v]
+        ))
+    return path[::-1]
 
 
 def oracle_nearest_generator(graph, gens, region=None):
