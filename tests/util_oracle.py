@@ -199,10 +199,11 @@ def oracle_shortest_path(graph, region, frm, to):
     path = [to]
     while path[-1] != frm:
         v = path[-1]
-        path.append(min(
+        preds = [
             u for u, w in graph._adj[v].items()
             if dist[u] + (1.0 if graph.uniform_weights else w) == dist[v]
-        ))
+        ]
+        path.append(min(preds))
     return path[::-1]
 
 
